@@ -38,6 +38,7 @@
 //! assert!(report.sites_checked > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

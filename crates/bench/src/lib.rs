@@ -5,6 +5,7 @@
 //! `repro` binary prints the same rows/series the paper reports; the
 //! Criterion benches time the underlying simulations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -102,53 +102,39 @@ pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> Profil
     }
 }
 
-/// Computes the worker-pool utilization block across both parallel
-/// phases: gen busy = Σ per-shard `shardNN.gen_ns` counters, drain busy
-/// = Σ per-shard `shardNN.drain_ns` counters (worker-side clocks), and
-/// capacity = effective workers × (the coordinator's `gen_fanout`
-/// wall plus the `drain_par` wall). The difference is barrier idle —
-/// workers that finished their shard early and waited for the phase
-/// barrier.
+/// Computes the worker-pool utilization block: busy = Σ per-shard
+/// `shardNN.gen_ns` counters (worker-side clocks), capacity = effective
+/// workers × the coordinator's `gen_fanout` wall. The difference is
+/// barrier idle — workers that finished their shard early and waited
+/// for the epoch barrier.
 pub fn utilization_from(profile: &Profile, threads: usize) -> UtilizationSection {
-    let per_shard = |suffix: &str, pair_suffix: &str| {
-        let mut shards: Vec<(usize, u64, u64)> = Vec::new();
-        for (name, &ns) in &profile.counters {
-            if let Some(idx) = name
-                .strip_prefix("shard")
-                .and_then(|s| s.strip_suffix(suffix))
-                .and_then(|s| s.parse::<usize>().ok())
-            {
-                let paired = profile
-                    .counters
-                    .get(&format!("shard{idx:02}{pair_suffix}"))
-                    .copied()
-                    .unwrap_or(0);
-                shards.push((idx, ns, paired));
-            }
+    let mut shards: Vec<(usize, u64, u64)> = Vec::new();
+    for (name, &ns) in &profile.counters {
+        if let Some(idx) = name
+            .strip_prefix("shard")
+            .and_then(|s| s.strip_suffix(".gen_ns"))
+            .and_then(|s| s.parse::<usize>().ok())
+        {
+            let tasks = profile
+                .counters
+                .get(&format!("shard{idx:02}.gen_tasks"))
+                .copied()
+                .unwrap_or(0);
+            shards.push((idx, ns, tasks));
         }
-        shards.sort_unstable();
-        shards
-    };
-    let shards = per_shard(".gen_ns", ".gen_tasks");
-    let drain_shards = per_shard(".drain_ns", ".drain_events");
+    }
+    shards.sort_unstable();
     let busy_ns: u64 = shards.iter().map(|&(_, ns, _)| ns).sum();
-    let drain_busy_ns: u64 = drain_shards.iter().map(|&(_, ns, _)| ns).sum();
     let fanout_ns = profile
         .find("kernel;execute;gen_fanout")
         .map(|n| n.total_ns)
         .unwrap_or(0);
-    let drain_par_ns = profile
-        .find("kernel;execute;drain;drain_par")
-        .map(|n| n.total_ns)
-        .unwrap_or(0);
-    let workers = threads.min(shards.len().max(drain_shards.len()).max(1));
+    let workers = threads.min(shards.len().max(1));
     UtilizationSection {
         workers,
         busy_ns,
-        drain_busy_ns,
-        capacity_ns: (fanout_ns + drain_par_ns) * workers as u64,
+        capacity_ns: fanout_ns * workers as u64,
         shards,
-        drain_shards,
     }
 }
 
@@ -170,26 +156,18 @@ pub fn render_profile_text(workload: &str, threads: usize, run: &ProfiledRun) ->
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "worker pool: {} workers, busy {:.1}% of parallel-phase capacity \
-             (gen {:.3} ms + drain {:.3} ms / capacity {:.3} ms; the rest is barrier idle)",
+            "worker pool: {} workers, busy {:.1}% of fan-out capacity \
+             (gen {:.3} ms / capacity {:.3} ms; the rest is barrier idle)",
             u.workers,
             u.busy_frac() * 100.0,
             u.busy_ns as f64 / 1e6,
-            u.drain_busy_ns as f64 / 1e6,
             u.capacity_ns as f64 / 1e6
         );
         for &(shard, ns, tasks) in &u.shards {
-            let drain = u
-                .drain_shards
-                .iter()
-                .find(|&&(s, _, _)| s == shard)
-                .copied();
             let _ = writeln!(
                 out,
-                "  shard {shard:>2}: gen {:>10.3} ms  {tasks:>8} tasks   drain {:>10.3} ms  {:>8} events",
-                ns as f64 / 1e6,
-                drain.map_or(0.0, |(_, d, _)| d as f64 / 1e6),
-                drain.map_or(0, |(_, _, e)| e)
+                "  shard {shard:>2}: gen {:>10.3} ms  {tasks:>8} tasks",
+                ns as f64 / 1e6
             );
         }
     }
@@ -265,41 +243,6 @@ mod tests {
         let text = render_profile_text("VecAdd", 2, &run);
         assert!(text.contains("worker pool:"), "{text}");
         assert!(text.contains("gen_fanout"), "{text}");
-    }
-
-    #[test]
-    fn parallel_drain_shows_up_in_utilization() {
-        let _t = locked();
-        // VecAdd's streaming accesses are almost entirely shard-local,
-        // so its windows clear the parallel-drain threshold (SQ-GEMM's
-        // do not at test scale: remote sectors early in each window cut
-        // the local-only prefix short); the profile must carry the
-        // drain_par span and worker-side drain busy clocks.
-        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
-        let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 4);
-        assert!(
-            run.profile.find("kernel;execute;drain;drain_par").is_some(),
-            "parallel drain engaged:\n{}",
-            run.profile.render_table()
-        );
-        let util = utilization_from(&run.profile, 4);
-        assert!(util.drain_busy_ns > 0, "drain busy clocks recorded");
-        assert!(!util.drain_shards.is_empty());
-        assert!(
-            util.drain_shards.iter().any(|&(_, _, events)| events > 0),
-            "drained events attributed to shards"
-        );
-        let section = section_from("VecAdd", 4, &run);
-        let parallel = section
-            .counters
-            .iter()
-            .find(|(k, _)| k == "drain.parallel_events")
-            .map(|&(_, v)| v)
-            .unwrap_or(0);
-        assert!(parallel > 0, "windows executed in parallel");
-        let text = render_profile_text("VecAdd", 4, &run);
-        assert!(text.contains("drain"), "{text}");
     }
 
     #[test]

@@ -76,35 +76,27 @@ pub struct PhaseRow {
     pub calls: u64,
 }
 
-/// Per-shard worker-utilization summary for the threaded drivers
-/// (epoch-prefetch generation plus the conservative-lookahead parallel
-/// drain).
+/// Per-shard worker-utilization summary for the epoch-prefetch
+/// driver's generation fan-out.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilizationSection {
     /// Worker threads that actually ran generation jobs.
     pub workers: usize,
     /// Σ per-shard generation busy nanoseconds (worker-side clocks).
     pub busy_ns: u64,
-    /// Σ per-shard parallel-drain busy nanoseconds (`shardNN.drain_ns`).
-    pub drain_busy_ns: u64,
-    /// `workers × (gen_fanout wall + drain_par wall)` — what the pool
-    /// could have done across both parallel phases.
+    /// `workers × gen_fanout wall` — what the pool could have done.
     pub capacity_ns: u64,
     /// Per-shard `(shard index, gen busy ns, gen tasks)` rows.
     pub shards: Vec<(usize, u64, u64)>,
-    /// Per-shard `(shard index, drain busy ns, drained events)` rows
-    /// (empty when no round cleared the parallel-drain threshold).
-    pub drain_shards: Vec<(usize, u64, u64)>,
 }
 
 impl UtilizationSection {
-    /// Busy fraction of the worker pool (1 − barrier idle), in [0, 1],
-    /// across both parallel phases.
+    /// Busy fraction of the worker pool (1 − barrier idle), in [0, 1].
     pub fn busy_frac(&self) -> f64 {
         if self.capacity_ns == 0 {
             0.0
         } else {
-            ((self.busy_ns + self.drain_busy_ns) as f64 / self.capacity_ns as f64).min(1.0)
+            (self.busy_ns as f64 / self.capacity_ns as f64).min(1.0)
         }
     }
 }
@@ -227,10 +219,9 @@ pub fn render(report: &BenchReport) -> String {
         out.push_str("      ],\n");
         let u = &p.utilization;
         out.push_str(&format!(
-            "      \"utilization\": {{\"workers\": {}, \"busy_ns\": {}, \"drain_busy_ns\": {}, \"capacity_ns\": {}, \"busy_frac\": {}, \"shards\": [",
+            "      \"utilization\": {{\"workers\": {}, \"busy_ns\": {}, \"capacity_ns\": {}, \"busy_frac\": {}, \"shards\": [",
             u.workers,
             u.busy_ns,
-            u.drain_busy_ns,
             u.capacity_ns,
             number(u.busy_frac())
         ));
@@ -240,15 +231,6 @@ pub fn render(report: &BenchReport) -> String {
             }
             out.push_str(&format!(
                 "{{\"shard\": {shard}, \"gen_ns\": {ns}, \"tasks\": {tasks}}}"
-            ));
-        }
-        out.push_str("], \"drain_shards\": [");
-        for (j, (shard, ns, events)) in u.drain_shards.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"shard\": {shard}, \"drain_ns\": {ns}, \"events\": {events}}}"
             ));
         }
         out.push_str("]},\n");
@@ -414,14 +396,10 @@ impl CheckReport {
 /// regresses when its share of total time grows more than
 /// `tolerance_pct` percentage points.
 ///
-/// Two structural gates apply to the *current* report alone (so
-/// `check(report, report, _)` enforces them without any baseline
+/// One structural gate applies to the *current* report alone (so
+/// `check(report, report, _)` enforces it without any baseline
 /// sensitivity): every profile section must attribute at least 95% of
-/// measured wall time, and a report whose profiles ran threaded
-/// (`sim_threads > 1`) must show the conservative parallel drain
-/// engaging (`drain_par` span) in at least one profile — a routing
-/// regression that silently falls back to the serial drain would
-/// otherwise only surface as unexplained wall-time noise.
+/// measured wall time.
 ///
 /// # Errors
 ///
@@ -520,17 +498,13 @@ pub fn check(current: &str, baseline: &str, tolerance_pct: f64) -> Result<CheckR
         }
     }
 
-    // Structural gates on the current report (baseline-independent).
+    // Structural gate on the current report (baseline-independent).
     if let Some(profiles) = cur.get("profiles").and_then(Json::as_array) {
-        let mut any_threaded = false;
-        let mut any_drain_par = false;
         for p in profiles {
             let workload = p
                 .get("workload")
                 .and_then(Json::as_str)
                 .unwrap_or("<unnamed>");
-            let threads = p.get("sim_threads").and_then(Json::as_f64).unwrap_or(1.0);
-            any_threaded |= threads > 1.0;
             let coverage = p.get("coverage").and_then(Json::as_f64).unwrap_or(0.0);
             out.compared += 1;
             if coverage < 0.95 {
@@ -538,23 +512,6 @@ pub fn check(current: &str, baseline: &str, tolerance_pct: f64) -> Result<CheckR
                     "profile {workload}: phase table covers only {:.1}% of wall time (floor 95%)",
                     coverage * 100.0
                 ));
-            }
-            if let Some(phases) = p.get("phases").and_then(Json::as_array) {
-                any_drain_par |= phases.iter().any(|row| {
-                    row.get("path")
-                        .and_then(Json::as_str)
-                        .is_some_and(|path| path.ends_with("drain_par"))
-                });
-            }
-        }
-        if any_threaded {
-            out.compared += 1;
-            if !any_drain_par {
-                out.regressions.push(
-                    "threaded profiles never recorded a 'drain_par' span: the conservative \
-                     parallel drain is not engaging (routing or threshold regression)"
-                        .to_string(),
-                );
             }
         }
     }
@@ -624,7 +581,7 @@ mod tests {
                     calls: 1,
                 },
                 PhaseRow {
-                    path: "kernel;execute;drain;drain_par".to_string(),
+                    path: "kernel;execute;gen_fanout".to_string(),
                     total_ns: 500_000,
                     self_ns: 500_000,
                     calls: 3,
@@ -633,10 +590,8 @@ mod tests {
             utilization: UtilizationSection {
                 workers: 4,
                 busy_ns: 300_000,
-                drain_busy_ns: 60_000,
                 capacity_ns: 400_000,
                 shards: vec![(0, 150_000, 64), (1, 150_000, 64)],
-                drain_shards: vec![(0, 40_000, 512), (1, 20_000, 256)],
             },
             counters: vec![("bw.claims".to_string(), 123)],
         }
@@ -723,19 +678,12 @@ mod tests {
             Some("kernel;execute")
         );
         let util = p.get("utilization").unwrap();
-        // (gen 300k + drain 60k) / capacity 400k.
+        // gen 300k / capacity 400k.
         let frac = util.get("busy_frac").and_then(Json::as_f64).unwrap();
-        assert!((frac - 0.9).abs() < 1e-9);
-        assert_eq!(
-            util.get("drain_busy_ns").and_then(Json::as_f64),
-            Some(60_000.0)
-        );
-        let drain_shards = util.get("drain_shards").and_then(Json::as_array).unwrap();
-        assert_eq!(drain_shards.len(), 2);
-        assert_eq!(
-            drain_shards[0].get("events").and_then(Json::as_f64),
-            Some(512.0)
-        );
+        assert!((frac - 0.75).abs() < 1e-9);
+        let shards = util.get("shards").and_then(Json::as_array).unwrap();
+        assert_eq!(shards.len(), 2);
+        assert_eq!(shards[0].get("tasks").and_then(Json::as_f64), Some(64.0));
         assert_eq!(
             p.get("counters")
                 .and_then(|c| c.get("bw.claims"))
@@ -815,23 +763,12 @@ mod tests {
     }
 
     #[test]
-    fn check_structural_gates_bind_on_the_current_report() {
+    fn check_coverage_gate_binds_on_the_current_report() {
         let mut report = sample_report();
         report.profiles.push(sample_profile());
         let good = render(&report);
-        // Self-comparison isolates the baseline-independent gates.
+        // Self-comparison isolates the baseline-independent gate.
         assert!(check(&good, &good, 10.0).unwrap().passed());
-
-        // Threaded profiles that never record a drain_par span mean the
-        // parallel drain silently stopped engaging.
-        let no_drain = good.replace("drain_par", "drain_xxx");
-        let flagged = check(&no_drain, &no_drain, 10.0).unwrap();
-        assert!(!flagged.passed());
-        assert!(
-            flagged.regressions.iter().any(|r| r.contains("drain_par")),
-            "{:?}",
-            flagged.regressions
-        );
 
         // A phase table covering less than 95% of wall time fails.
         let low_cov = good.replacen("\"coverage\": 0.97", "\"coverage\": 0.8", 1);
@@ -845,11 +782,6 @@ mod tests {
             "{:?}",
             flagged.regressions
         );
-
-        // Serial-profile reports are exempt from the drain gate (there
-        // is nothing to engage), but not from the coverage gate.
-        let serial = no_drain.replace("\"sim_threads\": 4", "\"sim_threads\": 1");
-        assert!(check(&serial, &serial, 10.0).unwrap().passed());
     }
 
     #[test]

@@ -110,24 +110,13 @@ fn regression_within_tolerance_passes() {
 }
 
 #[test]
-fn threaded_profile_without_drain_par_fails_structurally() {
-    // A report whose profiles claim threaded runs but never recorded a
-    // drain_par span means the parallel drain stopped engaging; the
-    // self-comparison (current == baseline) isolates the structural
+fn low_coverage_profile_fails_structurally() {
+    // The self-comparison (current == baseline) isolates the coverage
     // gate from any wall-speed noise. CI runs exactly this self-check.
-    let threaded = report(500_000.0, 600_000).replace("\"sim_threads\": 1", "\"sim_threads\": 4");
-    let (ok, text) = run_check("nodrain", &threaded, &threaded, "30");
-    assert!(!ok, "threaded profile without drain_par must fail:\n{text}");
-    assert!(text.contains("drain_par"), "{text}");
-
-    // The same report with a drain_par phase row passes.
-    let engaged = threaded.replacen(
-        "{\"path\": \"kernel;execute;drain_serial\"",
-        "{\"path\": \"kernel;execute;drain;drain_par\", \"total_ns\": 1000, \"self_ns\": 1000, \"calls\": 1},\n        {\"path\": \"kernel;execute;drain_serial\"",
-        1,
-    );
-    let (ok, text) = run_check("drainok", &engaged, &engaged, "30");
-    assert!(ok, "threaded profile with drain_par must pass:\n{text}");
+    let low = report(500_000.0, 600_000).replace("\"coverage\": 0.98", "\"coverage\": 0.5");
+    let (ok, text) = run_check("lowcov", &low, &low, "30");
+    assert!(!ok, "50% coverage must fail the gate:\n{text}");
+    assert!(text.contains("covers only"), "{text}");
 }
 
 #[test]
@@ -145,4 +134,22 @@ fn malformed_input_is_a_distinct_error() {
     let (ok, text) = run_check("malformed", "not json", &base, "10");
     assert!(!ok);
     assert!(text.contains("cannot compare"), "{text}");
+}
+
+#[test]
+fn validate_rejects_deep_nesting_without_crashing() {
+    let dir = std::env::temp_dir().join(format!("ladm-check-cli-{}-deep", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000)).expect("write deep");
+    let out = Command::new(BIN)
+        .arg("--validate")
+        .arg(&path)
+        .output()
+        .expect("ladm-bench runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("INVALID"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
 }

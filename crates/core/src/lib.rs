@@ -45,6 +45,7 @@
 //! println!("{plan}");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -247,10 +247,10 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
         });
     }
 
-    // The shard driver must be invariant to its worker-thread count.
-    // 2 and 4 exercise the conservative-lookahead drain at different
-    // shard groupings; 3 keeps an odd count that doesn't divide the
-    // node count; 8 oversubscribes every topology the generator emits.
+    // The epoch driver must be invariant to its worker-thread count.
+    // 2 and 4 fan generation out at different shard groupings; 3 keeps
+    // an odd count that doesn't divide the node count; 8 oversubscribes
+    // every topology the generator emits.
     for threads in [2usize, 3, 4, 8] {
         let got = format!("{:?}", run_engine(&cfg, &kernel, &*policy, threads));
         if got != base_dbg {

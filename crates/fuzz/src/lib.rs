@@ -26,6 +26,7 @@
 //! replayable JSON spec ([`corpus`]); the checked-in corpus under
 //! `tests/fixtures/fuzz_corpus/` is replayed by `cargo test`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -28,6 +28,7 @@
 //! * [`json`] — a minimal parser used to validate emitted documents
 //!   without external dependencies.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

@@ -29,17 +29,16 @@
 //! println!("off-chip traffic: {:.1}%", stats.offchip_fraction() * 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod bw;
 pub mod cache;
 pub mod config;
-mod drain;
 pub mod exec;
 pub mod fabric;
 pub mod homes;
-pub mod horizon;
 pub mod mem;
 pub mod oracle;
 pub mod session;

@@ -42,10 +42,10 @@ use std::sync::Arc;
 
 /// Event-heap key with deterministic total order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Event {
-    pub(crate) time: f64,
-    pub(crate) seq: u64,
-    pub(crate) warp: u32,
+struct Event {
+    time: f64,
+    seq: u64,
+    warp: u32,
 }
 
 impl Eq for Event {}
@@ -65,17 +65,17 @@ impl Ord for Event {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct WarpCtx {
-    pub(crate) bx: u32,
-    pub(crate) by: u32,
-    pub(crate) warp: u32,
-    pub(crate) iter: u32,
-    pub(crate) sm: u32,
-    pub(crate) tb: u32,
+struct WarpCtx {
+    bx: u32,
+    by: u32,
+    warp: u32,
+    iter: u32,
+    sm: u32,
+    tb: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TbCtx {
+struct TbCtx {
     live_warps: u32,
     node: u32,
 }
@@ -86,15 +86,15 @@ pub(crate) struct TbCtx {
 /// epoch driver's prefetch target; invalidated when the slot is
 /// recycled, with the sector allocation retained.
 #[derive(Debug, Default)]
-pub(crate) struct SlotCache {
-    pub(crate) valid: bool,
-    pub(crate) iter: u32,
-    pub(crate) instrs: u64,
-    pub(crate) sectors: Vec<(u64, bool)>,
+struct SlotCache {
+    valid: bool,
+    iter: u32,
+    instrs: u64,
+    sectors: Vec<(u64, bool)>,
 }
 
 impl SlotCache {
-    pub(crate) fn ready_for(&self, iter: u32, iter_invariant: bool) -> bool {
+    fn ready_for(&self, iter: u32, iter_invariant: bool) -> bool {
         self.valid && (iter_invariant || self.iter == iter)
     }
 }
@@ -102,32 +102,32 @@ impl SlotCache {
 /// Dynamic engine state for one `execute` call: warp/threadblock slot
 /// tables, the event heap and the per-slot generation caches.
 #[derive(Debug, Default)]
-pub(crate) struct EngineState {
-    pub(crate) warps: Vec<WarpCtx>,
-    pub(crate) free_warp_slots: Vec<u32>,
-    pub(crate) tbs: Vec<TbCtx>,
-    pub(crate) free_tb_slots: Vec<u32>,
-    pub(crate) heap: BinaryHeap<Reverse<Event>>,
-    pub(crate) seq: u64,
-    pub(crate) slots: Vec<SlotCache>,
-    pub(crate) access_buf: Vec<ThreadAccess>,
+struct EngineState {
+    warps: Vec<WarpCtx>,
+    free_warp_slots: Vec<u32>,
+    tbs: Vec<TbCtx>,
+    free_tb_slots: Vec<u32>,
+    heap: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    slots: Vec<SlotCache>,
+    access_buf: Vec<ThreadAccess>,
 }
 
 /// Hoisted per-kernel constants — the engine loop never clones
 /// `SimConfig` or chases `self.cfg` per event.
-pub(crate) struct EngineConsts<'a> {
-    pub(crate) warps_per_tb: u32,
-    pub(crate) sms_per_chiplet: u32,
-    pub(crate) trips: u32,
-    pub(crate) compute_cycles: f64,
-    pub(crate) issue_cost: f64,
-    pub(crate) iter_invariant: bool,
-    pub(crate) warp_size: u32,
-    pub(crate) sector_mask: u64,
+struct EngineConsts<'a> {
+    warps_per_tb: u32,
+    sms_per_chiplet: u32,
+    trips: u32,
+    compute_cycles: f64,
+    issue_cost: f64,
+    iter_invariant: bool,
+    warp_size: u32,
+    sector_mask: u64,
     /// Per-allocation `(base, elems, elem_bytes)` so coalescing resolves
     /// addresses from a local table instead of re-deriving the extent
     /// per thread access through `AddressSpace::addr_of`.
-    pub(crate) addr_tab: &'a [(u64, u64, u64)],
+    addr_tab: &'a [(u64, u64, u64)],
 }
 
 /// Generates one warp iteration's accesses and coalesces them into
@@ -136,7 +136,7 @@ pub(crate) struct EngineConsts<'a> {
 /// Pure with respect to the machine: reads only the (immutable) kernel
 /// and the per-kernel constants, which is what lets the epoch driver
 /// compute it on worker threads without perturbing determinism.
-pub(crate) fn gen_warp(
+fn gen_warp(
     kernel: &dyn KernelExec,
     k: &EngineConsts,
     ctx: WarpCtx,
@@ -213,9 +213,9 @@ pub struct SessionRunStats {
 /// plus the shared fabric and page-home table.
 #[derive(Debug)]
 pub struct GpuSystem {
-    pub(crate) cfg: SimConfig,
+    cfg: SimConfig,
     pub(crate) mem: AddressSpace,
-    pub(crate) shards: Vec<ChipletShard>,
+    shards: Vec<ChipletShard>,
     fabric: Fabric,
     sink: Option<Arc<dyn TraceSink>>,
     threads: usize,
@@ -509,27 +509,7 @@ impl GpuSystem {
         drop(prof_setup);
 
         if self.threads > 1 {
-            let threads = self.threads;
-            // The conservative-lookahead drain executes local-only event
-            // prefixes on the shards concurrently. It is sound only when
-            // every cross-thread effect is excluded from the parallel
-            // window: no trace sink (events must be emitted in canonical
-            // interleaved order), no reactive migration (remote accesses
-            // mutate the shared page table), and a positive horizon
-            // (`min(compute block, minimum cross-shard link latency)`).
-            // Everything else falls back to the epoch-prefetch driver —
-            // as does the drain itself, mid-kernel, when enough
-            // consecutive rounds execute nothing in parallel (see
-            // `drain::DEMOTE_AFTER`).
-            let delta = crate::horizon::lookahead(&self.cfg)
-                .map(|l| l.min(k.compute_cycles))
-                .filter(|&d| d > 0.0);
-            match delta {
-                Some(delta) if sink.is_none() && self.cfg.migration_threshold == 0 => {
-                    self.drain_conservative(&mut eng, kernel, &k, threads, delta);
-                }
-                _ => self.run_epochs(&mut eng, kernel, &k, sink, threads),
-            }
+            self.run_epochs(&mut eng, kernel, &k, sink, self.threads);
         } else {
             let _prof_drain = prof::span("drain_serial");
             while self.step(&mut eng, kernel, &k, sink) {}
@@ -566,7 +546,7 @@ impl GpuSystem {
 
     /// Dispatches threadblocks from shard `node`'s queue onto its SMs
     /// until no SM has room for a whole block.
-    pub(crate) fn dispatch_node(
+    fn dispatch_node(
         &mut self,
         eng: &mut EngineState,
         node: u32,
@@ -647,7 +627,7 @@ impl GpuSystem {
 
     /// Pops and resolves one event in canonical global order. Returns
     /// `false` when the heap is empty.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         eng: &mut EngineState,
         kernel: &dyn KernelExec,
@@ -731,7 +711,7 @@ impl GpuSystem {
     /// early simply fall back to inline generation). No shard state is
     /// touched off the caller thread, so results are bit-identical to
     /// the serial loop for any thread count.
-    pub(crate) fn run_epochs(
+    fn run_epochs(
         &mut self,
         eng: &mut EngineState,
         kernel: &dyn KernelExec,
@@ -1171,18 +1151,40 @@ mod tests {
     #[test]
     fn threaded_engine_is_bit_identical() {
         let kernel = VecAdd::new(256, 128);
-        let mut serial = GpuSystem::new(SimConfig::paper_multi_gpu());
-        serial.set_threads(1);
-        let base = serial.run(&kernel, &BaselineRr::new());
-        for threads in [2, 4, 8] {
-            let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
-            sys.set_threads(threads);
-            let stats = sys.run(&kernel, &BaselineRr::new());
-            assert_eq!(
-                format!("{stats:?}"),
-                format!("{base:?}"),
-                "threads={threads} must be bit-identical to serial"
-            );
+        // The paper machine, plus reactive migration (remote accesses
+        // rebind the shared page table mid-kernel) and a latency-1 ring
+        // (cross-shard completions packed into near-ties).
+        let configs = [
+            SimConfig::paper_multi_gpu(),
+            SimConfig {
+                migration_threshold: 2,
+                ..SimConfig::paper_multi_gpu()
+            },
+            SimConfig {
+                ring_latency: 1,
+                ..SimConfig::paper_multi_gpu()
+            },
+        ];
+        for cfg in configs {
+            let mut serial = GpuSystem::new(cfg.clone());
+            serial.set_threads(1);
+            let base = serial.run(&kernel, &BaselineRr::new());
+            if cfg.migration_threshold > 0 {
+                assert!(base.page_migrations > 0, "migration must engage");
+            }
+            for threads in [2, 4, 8] {
+                let mut sys = GpuSystem::new(cfg.clone());
+                sys.set_threads(threads);
+                let stats = sys.run(&kernel, &BaselineRr::new());
+                assert_eq!(
+                    format!("{stats:?}"),
+                    format!("{base:?}"),
+                    "threads={threads} must be bit-identical to serial \
+                     (migration_threshold {}, ring_latency {})",
+                    cfg.migration_threshold,
+                    cfg.ring_latency
+                );
+            }
         }
     }
 

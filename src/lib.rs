@@ -15,6 +15,7 @@
 //! See the repository `examples/` directory for runnable end-to-end
 //! scenarios, starting with `quickstart.rs`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use ladm_analyzer as analyzer;

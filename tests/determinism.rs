@@ -6,14 +6,10 @@
 //! (`tests/fixtures/stats_digest.txt`), so threading cannot drift even
 //! in lockstep with itself.
 //!
-//! Two threaded drivers are covered. The epoch-prefetch driver
-//! (DESIGN.md §10) parallelizes only the *pure* per-warp
+//! Every thread count above one runs the epoch-prefetch driver
+//! (DESIGN.md §10), which parallelizes only the *pure* per-warp
 //! access-generation phase; every stateful transition is resolved by
-//! the coordinator in exact global `(time, seq)` event order. The
-//! conservative-lookahead drain (DESIGN.md §13) additionally executes
-//! each round's local-only event prefix on the shards concurrently;
-//! its windows are bounded so the parallel prefix is exactly the
-//! serial prefix, with seqs preassigned to the serial values.
+//! the coordinator in exact global `(time, seq)` event order.
 
 use ladm::core::policies::{registry, BaselineRr, Lasp, Policy};
 use ladm::sim::{GpuSystem, KernelStats, SessionSim, SimConfig};
