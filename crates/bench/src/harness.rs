@@ -5,9 +5,8 @@ use ladm_core::policies::Policy;
 use ladm_sim::{GpuSystem, KernelStats, SimConfig};
 use ladm_workloads::Workload;
 
-// The labeled fork-join pool lives in `ladm_core::par` so the simulator's
-// epoch-parallel driver can use the same machinery without depending on
-// this crate; re-exported here for compatibility with existing callers.
+// The labeled fork-join pool lives in `ladm_core::par`; re-exported here
+// for compatibility with existing callers.
 pub use ladm_core::par::{parallel_map, parallel_map_labeled};
 
 /// Runs every kernel of `workload` back to back on a fresh machine built

@@ -6,8 +6,8 @@
 //! spends its cycles), not simulated time — see `ladm_obs::prof`. A
 //! profiled run wraps [`crate::harness::run_workload_threaded`] between
 //! `prof::reset`/`enable` and `disable`/`take`, so everything the
-//! engine records (plan, setup, gen fan-out, barrier wait, serial
-//! drain, stats merge, plus worker-side busy counters) lands in one
+//! engine records (plan, setup, drain, inline or worker-side
+//! generation, stats merge, plus per-worker busy counters) lands in one
 //! deterministic-shape [`Profile`].
 
 use crate::harness::run_workload_threaded;
@@ -61,11 +61,10 @@ pub fn profile_workload(
 
 /// Folds a profiled run into the additive BENCH.json `profile` section.
 ///
-/// `attributed_ns` counts only the coordinator-thread roots (the
-/// `kernel` spans) — worker-side `gen_worker` roots measure *parallel*
-/// busy time that overlaps the coordinator's `gen_fanout` wait and
-/// would double-count wall time; they feed the utilization block
-/// instead.
+/// `attributed_ns` counts only the caller-thread roots (the `kernel`
+/// spans) — worker-side `gen_worker` roots measure *parallel* busy time
+/// that overlaps the caller's `drain` and would double-count wall time;
+/// they feed the utilization block instead.
 pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> ProfileSection {
     let attributed_ns: u64 = run
         .profile
@@ -97,44 +96,44 @@ pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> Profil
         wall_ns: run.wall_ns,
         attributed_ns,
         phases,
-        utilization: utilization_from(&run.profile, threads),
+        utilization: utilization_from(&run.profile),
         counters,
     }
 }
 
-/// Computes the worker-pool utilization block: busy = Σ per-shard
-/// `shardNN.gen_ns` counters (worker-side clocks), capacity = effective
-/// workers × the coordinator's `gen_fanout` wall. The difference is
-/// barrier idle — workers that finished their shard early and waited
-/// for the epoch barrier.
-pub fn utilization_from(profile: &Profile, threads: usize) -> UtilizationSection {
-    let mut shards: Vec<(usize, u64, u64)> = Vec::new();
+/// Computes the prefetch workers' utilization block: busy = Σ
+/// `workerNN.gen_ns` counters (worker-side generation clocks), capacity
+/// = workers × the caller's `drain` wall, the time the workers could
+/// have been generating. The difference is time the workers waited for
+/// requests. Serial runs have no workers and an all-zero block.
+pub fn utilization_from(profile: &Profile) -> UtilizationSection {
+    let mut per_worker: Vec<(usize, u64, u64)> = Vec::new();
     for (name, &ns) in &profile.counters {
         if let Some(idx) = name
-            .strip_prefix("shard")
+            .strip_prefix("worker")
             .and_then(|s| s.strip_suffix(".gen_ns"))
             .and_then(|s| s.parse::<usize>().ok())
         {
             let tasks = profile
                 .counters
-                .get(&format!("shard{idx:02}.gen_tasks"))
+                .get(&format!("worker{idx:02}.gen_tasks"))
                 .copied()
                 .unwrap_or(0);
-            shards.push((idx, ns, tasks));
+            per_worker.push((idx, ns, tasks));
         }
     }
-    shards.sort_unstable();
-    let busy_ns: u64 = shards.iter().map(|&(_, ns, _)| ns).sum();
-    let fanout_ns = profile
-        .find("kernel;execute;gen_fanout")
+    per_worker.sort_unstable();
+    let busy_ns: u64 = per_worker.iter().map(|&(_, ns, _)| ns).sum();
+    let drain_ns = profile
+        .find("kernel;execute;drain")
         .map(|n| n.total_ns)
         .unwrap_or(0);
-    let workers = threads.min(shards.len().max(1));
+    let workers = per_worker.len();
     UtilizationSection {
         workers,
         busy_ns,
-        capacity_ns: fanout_ns * workers as u64,
-        shards,
+        capacity_ns: drain_ns * workers as u64,
+        per_worker,
     }
 }
 
@@ -156,17 +155,17 @@ pub fn render_profile_text(workload: &str, threads: usize, run: &ProfiledRun) ->
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "worker pool: {} workers, busy {:.1}% of fan-out capacity \
-             (gen {:.3} ms / capacity {:.3} ms; the rest is barrier idle)",
+            "prefetch workers: {}, busy {:.1}% of drain capacity \
+             (gen {:.3} ms / capacity {:.3} ms; the rest is waiting for requests)",
             u.workers,
             u.busy_frac() * 100.0,
             u.busy_ns as f64 / 1e6,
             u.capacity_ns as f64 / 1e6
         );
-        for &(shard, ns, tasks) in &u.shards {
+        for &(worker, ns, tasks) in &u.per_worker {
             let _ = writeln!(
                 out,
-                "  shard {shard:>2}: gen {:>10.3} ms  {tasks:>8} tasks",
+                "  worker {worker:>2}: gen {:>10.3} ms  {tasks:>8} tasks",
                 ns as f64 / 1e6
             );
         }
@@ -225,24 +224,40 @@ mod tests {
     }
 
     #[test]
-    fn threaded_profile_reports_fanout_and_utilization() {
+    fn threaded_profile_reports_workers_and_utilization() {
         let _t = locked();
         let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
         let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 2);
-        let fanout = run
+        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 4);
+        let drain = run
             .profile
-            .find("kernel;execute;gen_fanout")
-            .expect("threaded run has a fan-out phase");
-        assert!(fanout.count > 0);
-        assert!(run.profile.find("kernel;execute;drain").is_some());
-        let util = utilization_from(&run.profile, 2);
-        assert!(util.workers >= 1);
+            .find("kernel;execute;drain")
+            .expect("threaded run drains under 'drain'");
+        assert!(drain.count > 0);
+        assert!(run.profile.find("gen_worker").is_some());
+        assert!(run
+            .profile
+            .find("kernel;execute;drain;gen_inline")
+            .is_none());
+        let util = utilization_from(&run.profile);
+        assert_eq!(util.workers, 3, "threads - 1 workers");
+        assert_eq!(util.per_worker.len(), 3);
         assert!(util.busy_ns > 0, "worker busy clocks recorded");
-        assert!(util.capacity_ns >= util.busy_ns / 2, "capacity plausible");
-        let text = render_profile_text("VecAdd", 2, &run);
-        assert!(text.contains("worker pool:"), "{text}");
-        assert!(text.contains("gen_fanout"), "{text}");
+        assert_eq!(util.capacity_ns, drain.total_ns * 3);
+        let text = render_profile_text("VecAdd", 4, &run);
+        assert!(text.contains("prefetch workers: 3"), "{text}");
+        assert!(text.contains("gen_worker"), "{text}");
+
+        // The workers generate exactly the lists the serial loop
+        // generates inline: none twice, none missing.
+        let serial = profile_workload(&cfg, &w, &Lasp::ladm(), 1);
+        let inline = serial
+            .profile
+            .find("kernel;execute;drain_serial;gen_inline")
+            .expect("serial run generates inline");
+        let tasks: u64 = util.per_worker.iter().map(|&(_, _, t)| t).sum();
+        assert_eq!(tasks, inline.count);
+        assert_eq!(utilization_from(&serial.profile).workers, 0);
     }
 
     #[test]

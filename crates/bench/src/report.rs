@@ -76,22 +76,24 @@ pub struct PhaseRow {
     pub calls: u64,
 }
 
-/// Per-shard worker-utilization summary for the epoch-prefetch
-/// driver's generation fan-out.
+/// Utilization of the threaded engine's prefetch workers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UtilizationSection {
-    /// Worker threads that actually ran generation jobs.
+    /// Prefetch workers that ran (0 for serial runs).
     pub workers: usize,
-    /// Σ per-shard generation busy nanoseconds (worker-side clocks).
+    /// Σ worker generation busy nanoseconds (worker-side clocks).
     pub busy_ns: u64,
-    /// `workers × gen_fanout wall` — what the pool could have done.
+    /// `workers × drain wall` — what the workers could have done while
+    /// the caller drained.
     pub capacity_ns: u64,
-    /// Per-shard `(shard index, gen busy ns, gen tasks)` rows.
-    pub shards: Vec<(usize, u64, u64)>,
+    /// Per-worker `(worker index, gen busy ns, gen tasks)` rows. The
+    /// JSON keeps the `shards`/`shard` keys of the older per-shard rows
+    /// so existing reports stay readable.
+    pub per_worker: Vec<(usize, u64, u64)>,
 }
 
 impl UtilizationSection {
-    /// Busy fraction of the worker pool (1 − barrier idle), in [0, 1].
+    /// Busy fraction of the workers (1 − idle), in [0, 1].
     pub fn busy_frac(&self) -> f64 {
         if self.capacity_ns == 0 {
             0.0
@@ -102,7 +104,7 @@ impl UtilizationSection {
 }
 
 /// The additive `profile` section of a `ladm-bench-v1` report: one
-/// profiled workload's phase attribution, shard utilization and
+/// profiled workload's phase attribution, worker utilization and
 /// profiler counters. Absent (and ignored by old readers) unless
 /// `--profile` ran.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -120,7 +122,7 @@ pub struct ProfileSection {
     /// Worker-pool utilization (zeroed for serial runs).
     pub utilization: UtilizationSection,
     /// Merged profiler counters (heap ops, cache probes, bucket stalls,
-    /// per-shard gen times).
+    /// per-worker gen times).
     pub counters: Vec<(String, u64)>,
 }
 
@@ -225,12 +227,12 @@ pub fn render(report: &BenchReport) -> String {
             u.capacity_ns,
             number(u.busy_frac())
         ));
-        for (j, (shard, ns, tasks)) in u.shards.iter().enumerate() {
+        for (j, (worker, ns, tasks)) in u.per_worker.iter().enumerate() {
             if j > 0 {
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"shard\": {shard}, \"gen_ns\": {ns}, \"tasks\": {tasks}}}"
+                "{{\"shard\": {worker}, \"gen_ns\": {ns}, \"tasks\": {tasks}}}"
             ));
         }
         out.push_str("]},\n");
@@ -581,17 +583,17 @@ mod tests {
                     calls: 1,
                 },
                 PhaseRow {
-                    path: "kernel;execute;gen_fanout".to_string(),
-                    total_ns: 500_000,
-                    self_ns: 500_000,
-                    calls: 3,
+                    path: "kernel;execute;drain".to_string(),
+                    total_ns: 200_000,
+                    self_ns: 200_000,
+                    calls: 1,
                 },
             ],
             utilization: UtilizationSection {
-                workers: 4,
+                workers: 2,
                 busy_ns: 300_000,
                 capacity_ns: 400_000,
-                shards: vec![(0, 150_000, 64), (1, 150_000, 64)],
+                per_worker: vec![(0, 150_000, 64), (1, 150_000, 64)],
             },
             counters: vec![("bw.claims".to_string(), 123)],
         }

@@ -2,13 +2,12 @@
 //! [`parallel_map_labeled`] fan a job range out over scoped OS threads
 //! with deterministic result order and labeled panic propagation.
 //!
-//! Shared by the bench harness (per-workload experiment fan-out) and the
-//! simulator's epoch-parallel engine driver — both need the same
-//! guarantees: results come back in index order regardless of which
-//! worker ran which job, and a panic inside any job is re-raised on the
-//! caller with the job's label attached instead of aborting the process
-//! from a worker thread. The crate stays dependency-free (std scoped
-//! threads only).
+//! Used by the bench harness for per-workload experiment fan-out, which
+//! needs two guarantees: results come back in index order regardless of
+//! which worker ran which job, and a panic inside any job is re-raised
+//! on the caller with the job's label attached instead of aborting the
+//! process from a worker thread. The crate stays dependency-free (std
+//! scoped threads only).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

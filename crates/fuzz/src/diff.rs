@@ -247,10 +247,10 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
         });
     }
 
-    // The epoch driver must be invariant to its worker-thread count.
-    // 2 and 4 fan generation out at different shard groupings; 3 keeps
-    // an odd count that doesn't divide the node count; 8 oversubscribes
-    // every topology the generator emits.
+    // The prefetch pipeline must be invariant to its thread count. 2
+    // runs one generator worker; 3 and 4 deal batches round-robin to
+    // two and three; 8 is capped at one worker per node on small
+    // topologies.
     for threads in [2usize, 3, 4, 8] {
         let got = format!("{:?}", run_engine(&cfg, &kernel, &*policy, threads));
         if got != base_dbg {

@@ -728,9 +728,10 @@ pub fn sample(rng: &mut SplitMix64) -> TrialSpec {
         .collect();
     // Dense cross-shard gather bias (1 in 8 trials): every site draws a
     // fresh data-dependent address each loop iteration, so nearly every
-    // warp step carries remote sectors and no epoch's generated lists
-    // can be reused across trips: the epoch driver's prefetch is
-    // exercised on every iteration, with cross-shard effects in each.
+    // warp step carries remote sectors and no generated list can be
+    // reused across trips: the threaded engine's prefetch pipeline
+    // requests and installs a list on every iteration, with
+    // cross-shard effects in each.
     if rng.chance(1, 8) {
         for s in &mut sites {
             s.c_data = 1;
@@ -849,7 +850,7 @@ fn sample_config(rng: &mut SplitMix64) -> ConfigSpec {
         ring_bw: rng.range_u32(16, 1024),
         // Latency-1 links (1 in 6 each): a ring or switch hop as cheap
         // as an L1 hit packs cross-shard completions into near-ties, the
-        // regime where an epoch-driver ordering slip would reorder
+        // regime where a threaded-driver ordering slip would reorder
         // remote effects. The draws stay as they are so seeded trial
         // streams and the corpus fixtures replay unchanged.
         ring_latency: if rng.chance(1, 6) {

@@ -15,12 +15,9 @@
 //!
 //! When a self-profile is supplied
 //! ([`chrome_trace_with_profile`]), a synthetic **driver** process
-//! ([`DRIVER_PID`]) carries two extra lanes: tid 0 renders the merged
-//! span tree as a flame chart over *wall* time (microseconds — a
-//! different clock domain from the simulated-cycle lanes, noted in the
-//! lane name), and tid 1 renders the stretches between consecutive
-//! [`Event::EpochBarrier`]s as complete (`"X"`) events so barrier
-//! cadence and epoch width are visible, not just barrier instants.
+//! ([`DRIVER_PID`]) renders the merged span tree as a flame chart over
+//! *wall* time (microseconds — a different clock domain from the
+//! simulated-cycle lanes, noted in the lane name).
 
 use crate::event::{Event, LinkLevel, SectorRoute};
 use crate::json::{escape, number};
@@ -31,8 +28,8 @@ use std::fmt::Write as _;
 /// Cycle width of one counter-sampling epoch.
 const EPOCH_CYCLES: f64 = 1024.0;
 
-/// pid of the synthetic driver lane (self-profile + epoch spans) — far
-/// from any chiplet pid so the lanes sort last in viewers.
+/// pid of the synthetic driver lane (the self-profile) — far from any
+/// chiplet pid so the lane sorts last in viewers.
 pub const DRIVER_PID: u32 = 9999;
 
 /// One pending Chrome event, pre-rendered except for ordering.
@@ -68,8 +65,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
 
 /// [`chrome_trace`] plus, when `profile` is given, the driver lane: the
 /// merged span tree laid out as a wall-time flame chart on
-/// [`DRIVER_PID`]. Epoch-barrier span events appear whenever the stream
-/// contains [`Event::EpochBarrier`]s, profile or not.
+/// [`DRIVER_PID`].
 pub fn chrome_trace_with_profile(events: &[Event], profile: Option<&Profile>) -> String {
     let mut raws: Vec<Raw> = Vec::new();
     let mut seq = 0usize;
@@ -96,32 +92,6 @@ pub fn chrome_trace_with_profile(events: &[Event], profile: Option<&Profile>) ->
     let mut route_bins = EpochBins::default();
     let mut link_bins = EpochBins::default();
     let mut kernels = 0u64;
-    // Open driver-lane epoch span: (start ts, epoch, pending, gen_tasks)
-    // of the barrier that opened it. Closed by the next barrier or
-    // KernelEnd.
-    let mut epoch_open: Option<(f64, u32, u32, u32)> = None;
-    let mut epoch_spans = 0u64;
-    let close_epoch = |raws: &mut Vec<Raw>,
-                       open: &mut Option<(f64, u32, u32, u32)>,
-                       end_ts: f64,
-                       spans: &mut u64| {
-        if let Some((t0, epoch, pending, gen_tasks)) = open.take() {
-            let json = format!(
-                    "{{\"name\":\"epoch\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{DRIVER_PID},\"tid\":1,\"args\":{{\"epoch\":{},\"pending\":{},\"gen_tasks\":{}}}}}",
-                    number(t0),
-                    number((end_ts - t0).max(0.0)),
-                    epoch,
-                    pending,
-                    gen_tasks
-                );
-            raws.push(Raw {
-                ts: t0,
-                seq: usize::MAX,
-                json,
-            });
-            *spans += 1;
-        }
-    };
 
     for ev in events {
         match ev {
@@ -230,27 +200,8 @@ pub fn chrome_trace_with_profile(events: &[Event], profile: Option<&Profile>) ->
                 );
                 push(&mut raws, ts, json);
             }
-            Event::EpochBarrier {
-                time,
-                epoch,
-                pending,
-                gen_tasks,
-            } => {
-                let ts = abs(*time, &mut watermark, base);
-                let json = format!(
-                    "{{\"name\":\"epoch_barrier\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{{\"epoch\":{},\"pending\":{},\"gen_tasks\":{}}}}}",
-                    number(ts),
-                    epoch,
-                    pending,
-                    gen_tasks
-                );
-                push(&mut raws, ts, json);
-                close_epoch(&mut raws, &mut epoch_open, ts, &mut epoch_spans);
-                epoch_open = Some((ts, *epoch, *pending, *gen_tasks));
-            }
             Event::KernelEnd { kernel, time } => {
                 let ts = abs(*time, &mut watermark, base);
-                close_epoch(&mut raws, &mut epoch_open, ts, &mut epoch_spans);
                 let json = format!(
                     "{{\"name\":\"kernel_end\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":0,\"s\":\"g\",\"args\":{{\"kernel\":\"{}\"}}}}",
                     number(ts),
@@ -408,29 +359,19 @@ pub fn chrome_trace_with_profile(events: &[Event], profile: Option<&Profile>) ->
             ),
         );
     }
-    if profiled || epoch_spans > 0 {
+    if profiled {
         emit(
             &mut out,
             &format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{DRIVER_PID},\"tid\":0,\"args\":{{\"name\":\"driver (self-profile)\"}}}}"
             ),
         );
-        if profiled {
-            emit(
-                &mut out,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{DRIVER_PID},\"tid\":0,\"args\":{{\"name\":\"phases (wall \\u00b5s)\"}}}}"
-                ),
-            );
-        }
-        if epoch_spans > 0 {
-            emit(
-                &mut out,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{DRIVER_PID},\"tid\":1,\"args\":{{\"name\":\"epochs (sim cycles)\"}}}}"
-                ),
-            );
-        }
+        emit(
+            &mut out,
+            &format!(
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{DRIVER_PID},\"tid\":0,\"args\":{{\"name\":\"phases (wall \\u00b5s)\"}}}}"
+            ),
+        );
     }
 
     raws.sort_by(|a, b| {
@@ -574,54 +515,6 @@ mod tests {
             .collect();
         assert_eq!(begins.len(), 2);
         assert!(begins[1] > 60.0, "second kernel must start after first");
-    }
-
-    #[test]
-    fn epoch_barriers_become_driver_lane_spans() {
-        let mut ev = sample_events();
-        // Two barriers mid-kernel: expect span(b0→b1) and span(b1→end).
-        ev.insert(
-            3,
-            Event::EpochBarrier {
-                time: 8.0,
-                epoch: 0,
-                pending: 5,
-                gen_tasks: 2,
-            },
-        );
-        ev.insert(
-            5,
-            Event::EpochBarrier {
-                time: 24.0,
-                epoch: 1,
-                pending: 3,
-                gen_tasks: 1,
-            },
-        );
-        let text = chrome_trace(&ev);
-        let doc = Json::parse(&text).unwrap();
-        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
-        let spans: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some("epoch"))
-            .collect();
-        assert_eq!(spans.len(), 2, "one span per barrier-to-barrier stretch");
-        for s in &spans {
-            assert_eq!(s.get("ph").and_then(Json::as_str), Some("X"));
-            assert_eq!(s.get("pid").and_then(Json::as_f64), Some(DRIVER_PID as f64));
-        }
-        assert_eq!(spans[0].get("ts").and_then(Json::as_f64), Some(8.0));
-        assert_eq!(spans[0].get("dur").and_then(Json::as_f64), Some(16.0));
-        assert_eq!(spans[1].get("ts").and_then(Json::as_f64), Some(24.0));
-        assert_eq!(spans[1].get("dur").and_then(Json::as_f64), Some(36.0));
-        // The original instants are still present.
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.get("name").and_then(Json::as_str) == Some("epoch_barrier"))
-                .count(),
-            2
-        );
     }
 
     #[test]

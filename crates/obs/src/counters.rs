@@ -348,10 +348,6 @@ pub fn registry_from_events(events: &[Event]) -> CounterRegistry {
             Event::FirstTouch { node, .. } => {
                 reg.add_labeled("ladm_first_touch_total", &[("node", &node.to_string())], 1);
             }
-            Event::EpochBarrier { gen_tasks, .. } => {
-                reg.inc("ladm_epochs_total");
-                reg.add("ladm_epoch_gen_tasks_total", u64::from(*gen_tasks));
-            }
             Event::KernelEnd { .. } => {}
             Event::PlanAdopted { .. } => reg.inc("ladm_plan_adopted_total"),
             Event::PlanReplanned { .. } => reg.inc("ladm_plan_replanned_total"),

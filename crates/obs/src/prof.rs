@@ -3,7 +3,7 @@
 //!
 //! The trace layer ([`crate::event`]) observes *simulated* time; this
 //! module observes the second axis: where the simulator's wall-clock
-//! time goes — plan vs. generation vs. drain vs. barrier wait — so
+//! time goes — plan vs. generation vs. drain vs. waiting on workers — so
 //! engine-parallelism work is designed against measured phase splits
 //! instead of estimates.
 //!
@@ -19,11 +19,12 @@
 //!   child of the currently open span on a **thread-local** stack, so
 //!   recording is lock-free.
 //! * When a thread exits — including every scoped worker of
-//!   `ladm_core::par::parallel_map` whose join happens-before the
-//!   caller continues — its local tree is merged into a process-wide
-//!   accumulator keyed by span *name*, which makes the merged shape a
-//!   deterministic function of the code paths taken, not of the thread
-//!   count or interleaving. Durations sum; only times vary run to run.
+//!   `ladm_core::par::parallel_map` and every engine prefetch worker,
+//!   whose joins happen-before the caller continues — its local tree is
+//!   merged into a process-wide accumulator keyed by span *name*, which
+//!   makes the merged shape a deterministic function of the code paths
+//!   taken, not of the thread count or interleaving. Durations sum; only
+//!   times vary run to run.
 //! * Hot leaf observations that would be too frequent for spans
 //!   (token-bucket stalls, cache probes, heap ops) are plain named
 //!   [`count`]ers, merged the same way.
@@ -335,9 +336,9 @@ fn to_public(tree: &BTreeMap<&'static str, MergedNode>) -> Vec<ProfNode> {
 
 /// Merges the calling thread's local tree and snapshots the process-wide
 /// accumulator, resetting it. Worker threads that already exited (every
-/// `parallel_map` worker — its join happens-before the caller resumes)
-/// are included; any *other* still-live thread's unflushed spans are
-/// not.
+/// `parallel_map` and engine prefetch worker — its join happens-before
+/// the caller resumes) are included; any *other* still-live thread's
+/// unflushed spans are not.
 pub fn take() -> Profile {
     let mut g = GLOBAL.lock().unwrap();
     LOCAL.with(|l| l.borrow_mut().flush_into(&mut g));
@@ -508,7 +509,7 @@ mod tests {
         }
         count("widgets", 2);
         count("widgets", 5);
-        count_named("shard00.gen_ns".to_string(), 7);
+        count_named("worker00.gen_ns".to_string(), 7);
         disable();
         let p = take();
         assert_eq!(p.roots.len(), 1);
@@ -521,7 +522,7 @@ mod tests {
         assert_eq!(root.children[0].count, 3);
         assert!(root.total_ns >= root.children.iter().map(|c| c.total_ns).sum());
         assert_eq!(p.counters["widgets"], 7);
-        assert_eq!(p.counters["shard00.gen_ns"], 7);
+        assert_eq!(p.counters["worker00.gen_ns"], 7);
         // find + flatten agree on paths.
         assert_eq!(p.find("root;child").unwrap().count, 3);
         assert!(p.find("root;missing").is_none());

@@ -19,7 +19,7 @@
 //! * [`OracleSystem`] — a single global event list scanned linearly for
 //!   the minimum `(time, seq)` key, with per-warp sector lists
 //!   regenerated from scratch on every iteration, vs the sharded
-//!   heap-driven engine with slot caches and epoch prefetch.
+//!   heap-driven engine with slot caches and prefetched generation.
 //!
 //! The oracle intentionally shares **no** stateful code with the engine
 //! (only immutable inputs: `SimConfig`, plans, kernels), so a bug in any
@@ -787,7 +787,7 @@ impl OracleEngine<'_> {
         }
 
         // Always regenerate: the oracle has no slot cache, no
-        // iteration-invariant replay and no epoch prefetch.
+        // iteration-invariant replay and no prefetch.
         let (instrs, sectors) = self.gen_warp(ctx);
         self.stats.warp_instructions += instrs;
         let sm_state = &mut self.sms[ctx.sm as usize];

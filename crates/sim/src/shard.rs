@@ -21,8 +21,8 @@
 //! The coordinator resolves these in canonical global event order, so
 //! the sharded engine is bit-identical to the former monolithic one —
 //! and the *pure* part of each warp step (access generation +
-//! coalescing) can run on worker threads between epoch barriers without
-//! perturbing any result (see `GpuSystem::run_epochs`).
+//! coalescing) can run ahead on worker threads without perturbing any
+//! result (see `GpuSystem::run_prefetched`).
 
 use crate::bw::TokenBucket;
 use crate::cache::{Lookup, SectoredCache};
@@ -121,7 +121,7 @@ pub struct RemoteReply {
 /// Within one simulated kernel, only this shard mutates any of it; the
 /// coordinator (`GpuSystem`) reaches in strictly between events of the
 /// canonical global order, so shards never race even under the threaded
-/// epoch driver.
+/// prefetch pipeline, whose workers only generate sector lists.
 #[derive(Debug)]
 pub struct ChipletShard {
     node: NodeId,

@@ -19,10 +19,12 @@
 //! order, on the caller thread. What parallelizes ([`GpuSystem::set_threads`],
 //! `LADM_SIM_THREADS`) is the *pure* half of each warp step: access
 //! generation + coalescing, which depends only on the immutable kernel and
-//! the warp's coordinates. The epoch driver snapshots the pending events,
-//! fans the missing sector lists out to worker threads by shard, barriers,
-//! then drains the epoch serially — so any thread count produces
-//! bit-identical [`KernelStats`] (enforced by `tests/determinism.rs`).
+//! the warp's coordinates. The prefetch pipeline queues that work to
+//! generator threads as soon as an event is pushed and installs the
+//! results tagged by warp and iteration, while the caller keeps draining
+//! the heap with the serial `step` — so any thread count produces
+//! bit-identical [`KernelStats`] and the same trace (enforced by
+//! `tests/determinism.rs`).
 
 use crate::config::SimConfig;
 use crate::exec::{KernelExec, ThreadAccess};
@@ -30,15 +32,21 @@ use crate::fabric::Fabric;
 use crate::mem::AddressSpace;
 use crate::shard::{ChipletShard, RemoteRequest, SectorCtx};
 use crate::stats::KernelStats;
-use ladm_core::par::parallel_map_labeled;
 use ladm_core::plan::KernelPlan;
 use ladm_core::policies::Policy;
 use ladm_core::session::SessionPlan;
 use ladm_core::topology::NodeId;
 use ladm_obs::{prof, Event as TraceEvent, SectorRoute, TraceSink};
+use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Generation requests per batch sent to a prefetch worker.
+const PREFETCH_BATCH: usize = 32;
 
 /// Event-heap key with deterministic total order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,6 +82,13 @@ struct WarpCtx {
     tb: u32,
 }
 
+impl WarpCtx {
+    /// Whether `other` is the same warp at the same loop iteration.
+    fn same_step(&self, other: &WarpCtx) -> bool {
+        (self.bx, self.by, self.warp, self.iter) == (other.bx, other.by, other.warp, other.iter)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct TbCtx {
     live_warps: u32,
@@ -83,7 +98,7 @@ struct TbCtx {
 /// A warp slot's cached generation result: the instruction count and
 /// coalesced sector list for iteration `iter`. Doubles as the
 /// iteration-invariant replay cache (the tag is ignored then) and the
-/// epoch driver's prefetch target; invalidated when the slot is
+/// prefetch pipeline's install target; invalidated when the slot is
 /// recycled, with the sector allocation retained.
 #[derive(Debug, Default)]
 struct SlotCache {
@@ -111,7 +126,26 @@ struct EngineState {
     seq: u64,
     slots: Vec<SlotCache>,
     access_buf: Vec<ThreadAccess>,
+    /// Threaded mode only: generation requests queued by event pushes
+    /// and not yet sent to a worker. `None` on the serial path.
+    outbox: Option<Vec<GenJob>>,
 }
+
+/// A prefetch request and, once a worker has filled it, its result:
+/// warp `ctx` in slot `slot` needs its sector list for `ctx.iter`. The
+/// request carries the slot's spent sector `Vec` out and the result
+/// brings it back filled, so the steady state allocates nothing per
+/// event.
+#[derive(Debug)]
+struct GenJob {
+    slot: u32,
+    ctx: WarpCtx,
+    instrs: u64,
+    sectors: Vec<(u64, bool)>,
+}
+
+/// A filled batch, or the payload of a kernel panic on a worker.
+type GenResult = Result<Vec<GenJob>, Box<dyn Any + Send>>;
 
 /// Hoisted per-kernel constants — the engine loop never clones
 /// `SimConfig` or chases `self.cfg` per event.
@@ -134,8 +168,8 @@ struct EngineConsts<'a> {
 /// sorted, deduplicated sectors; returns the instruction count.
 ///
 /// Pure with respect to the machine: reads only the (immutable) kernel
-/// and the per-kernel constants, which is what lets the epoch driver
-/// compute it on worker threads without perturbing determinism.
+/// and the per-kernel constants, which is what lets the prefetch
+/// pipeline compute it on worker threads without perturbing determinism.
 fn gen_warp(
     kernel: &dyn KernelExec,
     k: &EngineConsts,
@@ -254,9 +288,11 @@ impl GpuSystem {
         &self.shards
     }
 
-    /// Sets the engine worker-thread count. `1` (or `0`) runs the
-    /// classic serial loop; `n > 1` runs the epoch-prefetch driver on
-    /// `n` threads. Results are bit-identical either way.
+    /// Sets the engine thread count. `1` (or `0`) runs the classic
+    /// serial loop; `n > 1` runs the prefetch pipeline: the caller
+    /// drains events while `n − 1` workers (at most one per chiplet)
+    /// generate sector lists ahead of it. Results are bit-identical
+    /// either way.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
     }
@@ -432,8 +468,8 @@ impl GpuSystem {
     }
 
     /// Core engine: sets up shard queues and resident-warp state, then
-    /// drives the event heap — serially, or via the epoch driver when
-    /// more than one worker thread is configured.
+    /// drives the event heap — serially, or via the prefetch pipeline
+    /// when more than one engine thread is configured.
     fn execute(&mut self, kernel: &dyn KernelExec, plan: &KernelPlan) -> KernelStats {
         let addr_tab: Vec<(u64, u64, u64)> = self
             .mem
@@ -501,7 +537,10 @@ impl GpuSystem {
             self.shards[node.0 as usize].queue.push_back((bx, by));
         }
 
-        let mut eng = EngineState::default();
+        let mut eng = EngineState {
+            outbox: (self.threads > 1).then(Vec::new),
+            ..EngineState::default()
+        };
         eng.access_buf.reserve(256);
         for node in 0..topo.num_nodes() {
             self.dispatch_node(&mut eng, node, 0.0, &k, sink);
@@ -509,7 +548,7 @@ impl GpuSystem {
         drop(prof_setup);
 
         if self.threads > 1 {
-            self.run_epochs(&mut eng, kernel, &k, sink, self.threads);
+            self.run_prefetched(&mut eng, kernel, &k, sink);
         } else {
             let _prof_drain = prof::span("drain_serial");
             while self.step(&mut eng, kernel, &k, sink) {}
@@ -620,7 +659,7 @@ impl GpuSystem {
                     }
                 };
                 eng.seq += 1;
-                heap_push(eng, now, warp_idx);
+                heap_push(eng, k, now, warp_idx);
             }
         }
     }
@@ -671,13 +710,17 @@ impl GpuSystem {
         }
 
         // This iteration's accesses: replayed from the slot cache (filled
-        // by the epoch prefetch or an invariant earlier trip), or
-        // generated inline.
+        // by the prefetch pipeline or an invariant earlier trip), or
+        // generated inline on the serial path.
         let EngineState {
-            slots, access_buf, ..
+            slots,
+            access_buf,
+            outbox,
+            ..
         } = eng;
         let slot = &mut slots[ev.warp as usize];
         if !slot.ready_for(ctx.iter, k.iter_invariant) {
+            debug_assert!(outbox.is_none(), "the threaded caller never generates");
             let _prof_gen = prof::span("gen_inline");
             slot.instrs = gen_warp(kernel, k, ctx, access_buf, &mut slot.sectors);
             slot.iter = ctx.iter;
@@ -699,116 +742,66 @@ impl GpuSystem {
 
         eng.warps[ev.warp as usize].iter += 1;
         eng.seq += 1;
-        heap_push(eng, done, ev.warp);
+        heap_push(eng, k, done, ev.warp);
         true
     }
 
-    /// Epoch-prefetch driver: between barriers, worker threads compute
-    /// the pure generation results (sector lists) for every pending
-    /// event that needs one, grouped by shard; the barrier joins them
-    /// into the slot caches; then the epoch's snapshot is drained
-    /// serially in canonical order (events pushed mid-drain that pop
-    /// early simply fall back to inline generation). No shard state is
-    /// touched off the caller thread, so results are bit-identical to
+    /// Streaming prefetch driver. `threads − 1` generator workers (at
+    /// most one per shard) compute the pure `gen_warp` sector lists that
+    /// [`heap_push`] queues, while this thread drains the heap with the
+    /// serial [`GpuSystem::step`]. When the head event's list has not
+    /// arrived yet, the caller sends its partial batch and blocks on the
+    /// results — it never generates itself. No machine state is touched
+    /// off the caller thread, so results and traces are bit-identical to
     /// the serial loop for any thread count.
-    fn run_epochs(
+    fn run_prefetched(
         &mut self,
         eng: &mut EngineState,
         kernel: &dyn KernelExec,
         k: &EngineConsts,
         sink: Option<&dyn TraceSink>,
-        threads: usize,
     ) {
-        let nodes = self.shards.len();
-        let mut epoch: u32 = 0;
-        while let Some(&Reverse(head)) = eng.heap.peek() {
-            let head_time = head.time;
-            // Snapshot: every pending warp event that will need a fresh
-            // sector list for the iteration it is about to execute.
-            let prof_snapshot = prof::span("snapshot");
-            let mut tasks: Vec<Vec<(u32, WarpCtx)>> = vec![Vec::new(); nodes];
-            let mut gen_tasks = 0u32;
-            for &Reverse(ev) in eng.heap.iter() {
-                let ctx = eng.warps[ev.warp as usize];
-                if ctx.iter >= k.trips {
-                    continue;
-                }
-                if eng.slots[ev.warp as usize].ready_for(ctx.iter, k.iter_invariant) {
-                    continue;
-                }
-                tasks[(ctx.sm / k.sms_per_chiplet) as usize].push((ev.warp, ctx));
-                gen_tasks += 1;
+        let _prof_drain = prof::span("drain");
+        let workers = (self.threads - 1).clamp(1, self.shards.len());
+        std::thread::scope(|scope| {
+            let (done_tx, done_rx) = channel();
+            let mut jobs = Vec::with_capacity(workers);
+            let mut handles = Vec::with_capacity(workers);
+            for id in 0..workers {
+                let (job_tx, job_rx) = channel();
+                let done_tx = done_tx.clone();
+                handles.push(scope.spawn(move || gen_worker(id, kernel, k, job_rx, done_tx)));
+                jobs.push(job_tx);
             }
-            // Heap iteration order is layout-dependent; sort so each
-            // worker job's content is reproducible run to run.
-            for t in &mut tasks {
-                t.sort_unstable_by_key(|&(slot, _)| slot);
-            }
-            drop(prof_snapshot);
-            if let Some(s) = sink {
-                s.record(TraceEvent::EpochBarrier {
-                    time: head_time,
-                    epoch,
-                    pending: eng.heap.len() as u32,
-                    gen_tasks,
-                });
-            }
-            if gen_tasks > 0 {
-                // The fan-out span covers job distribution, worker
-                // execution AND the coordinator's barrier wait (the
-                // join); per-shard busy time lands in the
-                // `shardNN.gen_ns` counters recorded by the workers, so
-                // barrier idle = workers × fanout wall − Σ busy.
-                let prof_fanout = prof::span("gen_fanout");
-                let produced = parallel_map_labeled(
-                    nodes,
-                    threads,
-                    |i| format!("shard {i} gen (epoch {epoch})"),
-                    |i| {
-                        let _prof_worker = prof::span("gen_worker");
-                        let busy = prof::profiling().then(std::time::Instant::now);
-                        let mut access_buf: Vec<ThreadAccess> = Vec::with_capacity(256);
-                        let out = tasks[i]
-                            .iter()
-                            .map(|&(slot, ctx)| {
-                                let mut sectors: Vec<(u64, bool)> = Vec::with_capacity(64);
-                                let instrs =
-                                    gen_warp(kernel, k, ctx, &mut access_buf, &mut sectors);
-                                (slot, ctx.iter, instrs, sectors)
-                            })
-                            .collect::<Vec<_>>();
-                        if let Some(t0) = busy {
-                            prof::count_named(
-                                format!("shard{i:02}.gen_ns"),
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                            prof::count_named(format!("shard{i:02}.gen_tasks"), out.len() as u64);
-                        }
-                        out
-                    },
-                );
-                drop(prof_fanout);
-                let _prof_join = prof::span("join");
-                for per_shard in produced {
-                    for (slot_idx, iter, instrs, sectors) in per_shard {
-                        let slot = &mut eng.slots[slot_idx as usize];
-                        slot.valid = true;
-                        slot.iter = iter;
-                        slot.instrs = instrs;
-                        slot.sectors = sectors;
+            drop(done_tx);
+            let mut pipe = Pipeline {
+                jobs,
+                next: 0,
+                done: done_rx,
+                spare: Vec::new(),
+            };
+            while let Some(&Reverse(head)) = eng.heap.peek() {
+                let w = head.warp as usize;
+                let iter = eng.warps[w].iter;
+                if iter < k.trips && !eng.slots[w].ready_for(iter, k.iter_invariant) {
+                    pipe.send(eng, 1);
+                    prof::count("engine.prefetch_waits", 1);
+                    while !eng.slots[w].ready_for(iter, k.iter_invariant) {
+                        pipe.install_next(eng);
                     }
                 }
+                self.step(eng, kernel, k, sink);
+                pipe.send(eng, PREFETCH_BATCH);
             }
-            // Drain exactly this epoch's snapshot in canonical order.
-            let _prof_drain = prof::span("drain");
-            let drain = eng.heap.len();
-            for _ in 0..drain {
-                if !self.step(eng, kernel, k, sink) {
-                    break;
+            // Closing the job channels ends the workers; joining them
+            // also flushes their profiler spans before `execute` returns.
+            drop(pipe);
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    resume_unwind(payload);
                 }
             }
-            epoch += 1;
-        }
+        });
     }
 
     /// Drives one 32 B sector through the hierarchy starting at `t`;
@@ -943,11 +936,111 @@ impl GpuSystem {
 }
 
 /// Pushes the next event for `warp` at `time` (assumes `eng.seq` was
-/// already advanced by the caller).
-fn heap_push(eng: &mut EngineState, time: f64, warp: u32) {
+/// already advanced by the caller). In threaded mode, also queues the
+/// warp's generation request when its slot will need a fresh list.
+fn heap_push(eng: &mut EngineState, k: &EngineConsts, time: f64, warp: u32) {
     prof::count("engine.heap_push", 1);
     let seq = eng.seq;
     eng.heap.push(Reverse(Event { time, seq, warp }));
+    if let Some(outbox) = &mut eng.outbox {
+        let ctx = eng.warps[warp as usize];
+        let slot = &mut eng.slots[warp as usize];
+        if ctx.iter < k.trips && !slot.ready_for(ctx.iter, k.iter_invariant) {
+            slot.valid = false;
+            outbox.push(GenJob {
+                slot: warp,
+                ctx,
+                instrs: 0,
+                sectors: std::mem::take(&mut slot.sectors),
+            });
+        }
+    }
+}
+
+/// The caller's end of the prefetch pipeline: one job channel per
+/// worker (batches go round-robin), the shared result channel, and
+/// emptied batch `Vec`s kept for reuse.
+struct Pipeline {
+    jobs: Vec<Sender<Vec<GenJob>>>,
+    next: usize,
+    done: Receiver<GenResult>,
+    spare: Vec<Vec<GenJob>>,
+}
+
+impl Pipeline {
+    /// Sends queued requests in batches of at most [`PREFETCH_BATCH`]
+    /// while at least `min` (≥ 1) are queued.
+    fn send(&mut self, eng: &mut EngineState, min: usize) {
+        let outbox = eng.outbox.as_mut().expect("threaded mode has an outbox");
+        while outbox.len() >= min.max(1) {
+            let n = outbox.len().min(PREFETCH_BATCH);
+            let mut batch = self.spare.pop().unwrap_or_default();
+            batch.extend(outbox.drain(..n));
+            let worker = &self.jobs[self.next % self.jobs.len()];
+            self.next += 1;
+            // A worker only hangs up after reporting a panic, which
+            // `install_next` re-raises; until then a send cannot fail.
+            let _ = worker.send(batch);
+        }
+    }
+
+    /// Blocks for the next filled batch and installs each result whose
+    /// slot still holds the same warp at the same iteration; anything
+    /// else is stale and dropped. Re-raises a worker's kernel panic.
+    fn install_next(&mut self, eng: &mut EngineState) {
+        let mut batch = match self.done.recv() {
+            Ok(Ok(batch)) => batch,
+            Ok(Err(payload)) => resume_unwind(payload),
+            Err(_) => unreachable!("workers run until the job channels close"),
+        };
+        for job in batch.drain(..) {
+            let i = job.slot as usize;
+            if eng.warps[i].same_step(&job.ctx) {
+                let slot = &mut eng.slots[i];
+                slot.valid = true;
+                slot.iter = job.ctx.iter;
+                slot.instrs = job.instrs;
+                slot.sectors = job.sectors;
+            }
+        }
+        self.spare.push(batch);
+    }
+}
+
+/// A prefetch worker: fills each batch it receives with the pure
+/// [`gen_warp`] results and sends it back, until the caller closes its
+/// job channel. A panicking kernel is caught and its payload forwarded,
+/// so the caller re-raises it instead of waiting forever.
+fn gen_worker(
+    id: usize,
+    kernel: &dyn KernelExec,
+    k: &EngineConsts,
+    jobs: Receiver<Vec<GenJob>>,
+    done: Sender<GenResult>,
+) {
+    let mut access_buf: Vec<ThreadAccess> = Vec::with_capacity(256);
+    let (mut busy_ns, mut tasks) = (0u64, 0u64);
+    for mut batch in jobs {
+        let _prof_worker = prof::span("gen_worker");
+        let t0 = prof::profiling().then(Instant::now);
+        let filled = catch_unwind(AssertUnwindSafe(|| {
+            for job in &mut batch {
+                job.instrs = gen_warp(kernel, k, job.ctx, &mut access_buf, &mut job.sectors);
+            }
+        }));
+        if let Some(t0) = t0 {
+            busy_ns += t0.elapsed().as_nanos() as u64;
+            tasks += batch.len() as u64;
+        }
+        let panicked = filled.is_err();
+        if done.send(filled.map(|()| batch)).is_err() || panicked {
+            break;
+        }
+    }
+    if prof::profiling() {
+        prof::count_named(format!("worker{id:02}.gen_ns"), busy_ns);
+        prof::count_named(format!("worker{id:02}.gen_tasks"), tasks);
+    }
 }
 
 #[cfg(test)]
@@ -1189,7 +1282,7 @@ mod tests {
     }
 
     #[test]
-    fn threaded_trace_adds_only_epoch_barriers() {
+    fn threaded_trace_equals_serial_trace() {
         use ladm_obs::RecordingSink;
 
         let kernel = VecAdd::new(64, 128);
@@ -1199,24 +1292,56 @@ mod tests {
         sys.set_sink(sink.clone());
         sys.run(&kernel, &Lasp::ladm());
         let serial = sink.take_events();
+        assert!(!serial.is_empty());
 
-        sys.set_threads(4);
-        sys.run(&kernel, &Lasp::ladm());
-        let threaded = sink.take_events();
+        for threads in [2, 4] {
+            sys.set_threads(threads);
+            sys.run(&kernel, &Lasp::ladm());
+            assert_eq!(
+                sink.take_events(),
+                serial,
+                "the trace at {threads} threads must equal the serial trace"
+            );
+        }
+    }
 
-        let barriers = threaded
-            .iter()
-            .filter(|e| e.name() == "epoch_barrier")
-            .count();
-        assert!(barriers > 0, "threaded runs report epoch barriers");
-        let filtered: Vec<_> = threaded
-            .into_iter()
-            .filter(|e| e.name() != "epoch_barrier")
-            .collect();
-        assert_eq!(
-            filtered, serial,
-            "threaded trace differs from serial only by barrier markers"
-        );
+    /// VecAdd whose access generation panics for one warp.
+    #[derive(Debug)]
+    struct PanicsOnWarp(VecAdd);
+
+    impl KernelExec for PanicsOnWarp {
+        fn launch(&self) -> &LaunchInfo {
+            self.0.launch()
+        }
+        fn trips(&self) -> u32 {
+            1
+        }
+        fn warp_accesses(&self, tb: (u32, u32), warp: u32, iter: u32, out: &mut Vec<ThreadAccess>) {
+            assert!(tb != (37, 0) || warp != 2, "bad warp in block 37");
+            self.0.warp_accesses(tb, warp, iter, out);
+        }
+    }
+
+    #[test]
+    fn failing_kernel_panics_on_the_threaded_path() {
+        let kernel = PanicsOnWarp(VecAdd::new(64, 128));
+        for threads in [2, 4] {
+            let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
+            sys.set_threads(threads);
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                sys.run(&kernel, &Lasp::ladm());
+            }));
+            let payload = caught.expect_err("the kernel panic must reach the caller");
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                msg.contains("bad warp in block 37"),
+                "threads={threads}: got {msg:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! (`tests/fixtures/stats_digest.txt`), so threading cannot drift even
 //! in lockstep with itself.
 //!
-//! Every thread count above one runs the epoch-prefetch driver
-//! (DESIGN.md §10), which parallelizes only the *pure* per-warp
-//! access-generation phase; every stateful transition is resolved by
-//! the coordinator in exact global `(time, seq)` event order.
+//! Every thread count above one runs the prefetch pipeline (DESIGN.md
+//! §10), which parallelizes only the *pure* per-warp access-generation
+//! phase; every stateful transition is resolved by the caller thread in
+//! exact global `(time, seq)` event order.
 
 use ladm::core::policies::{registry, BaselineRr, Lasp, Policy};
 use ladm::sim::{GpuSystem, KernelStats, SessionSim, SimConfig};

@@ -88,10 +88,10 @@ fn span_tree_shape_is_deterministic_across_repeats() {
 #[test]
 fn span_tree_shape_is_stable_across_worker_counts() {
     let _t = locked();
-    // The threaded engine (>= 2 workers) takes one code path; its merged
+    // The threaded engine (>= 2 threads) takes one code path; its merged
     // shape must not depend on how many workers raced through it.
     // (threads = 1 takes the serial path and legitimately differs:
-    // drain_serial/gen_inline instead of snapshot/gen_fanout/join/drain.)
+    // drain_serial/gen_inline instead of drain/gen_worker.)
     let (_, two) = digest_profiled(2);
     let (_, four) = digest_profiled(4);
     let (_, eight) = digest_profiled(8);
@@ -105,12 +105,20 @@ fn span_tree_shape_is_stable_across_worker_counts() {
         eight.shape(),
         "span shape drifted between 4 and 8 workers"
     );
-    // The threaded signature phases are present in the merged shape.
+    // The threaded signature phases are present in the merged shape, and
+    // the caller never generates inline nor runs the deleted epoch
+    // driver's phases.
     let shape = two.shape();
-    for phase in ["gen_fanout", "drain", "gen_worker", "stats_merge"] {
+    for phase in ["drain", "gen_worker", "stats_merge"] {
         assert!(
             shape.contains(phase),
             "expected phase '{phase}' in threaded shape:\n{shape}"
+        );
+    }
+    for phase in ["gen_inline", "gen_fanout", "snapshot", "join"] {
+        assert!(
+            !shape.contains(phase),
+            "unexpected phase '{phase}' in threaded shape:\n{shape}"
         );
     }
 }
