@@ -37,6 +37,7 @@ pub use swizzle::{Swizzle, SwizzlePlacement, DEFAULT_GROUP, DEFAULT_TWO_LEVEL_BA
 use crate::launch::LaunchInfo;
 use crate::plan::KernelPlan;
 use crate::topology::Topology;
+use ladm_obs::{Event, TraceSink};
 use std::fmt;
 
 /// Explanation of one argument's role in a policy's planning decision:
@@ -59,6 +60,41 @@ pub struct ArgDecision {
     /// Whether this structure won the tie-break and dictated the
     /// kernel-wide schedule.
     pub winner: bool,
+}
+
+/// Narrates a planned launch to `sink`: one [`Event::KernelBegin`]
+/// naming `policy` and the plan's schedule, then one
+/// [`Event::ArgDecision`] per decision carrying the placement the plan
+/// chose for that argument. The one producer of both events, shared by
+/// the runtime's launch path and every simulator launch.
+pub fn narrate_launch(
+    sink: &dyn TraceSink,
+    launch: &LaunchInfo,
+    policy: &str,
+    plan: &KernelPlan,
+    decisions: &[ArgDecision],
+) {
+    let kernel = launch.kernel.name;
+    sink.record(Event::KernelBegin {
+        kernel: kernel.to_string(),
+        policy: policy.to_string(),
+        grid: launch.grid,
+        schedule: plan.schedule.to_string(),
+    });
+    for d in decisions {
+        let arg = &plan.args[d.arg];
+        sink.record(Event::ArgDecision {
+            kernel: kernel.to_string(),
+            arg: d.arg,
+            name: d.name.to_string(),
+            class: d.class.clone(),
+            preference: d.preference.to_string(),
+            bytes: d.bytes,
+            winner: d.winner,
+            page_map: arg.pages.to_string(),
+            remote_insert: arg.remote_insert.to_string(),
+        });
+    }
 }
 
 /// A NUMA page-placement + threadblock-scheduling + cache-insertion policy.

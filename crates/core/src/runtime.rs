@@ -11,11 +11,11 @@
 
 use crate::launch::{KernelStatic, LaunchInfo};
 use crate::plan::KernelPlan;
-use crate::policies::{CacheMode, Lasp, Policy};
+use crate::policies::{narrate_launch, CacheMode, Lasp, Policy};
 use crate::session::PlacementSession;
 use crate::table::{LocalityTable, MallocPc};
 use crate::topology::Topology;
-use ladm_obs::{Event, TraceSink};
+use ladm_obs::TraceSink;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -242,34 +242,11 @@ impl LadmRuntime {
             .enumerate()
             .map(|(i, arg)| session.alloc(arg.name, launch.arg_bytes(i).max(1), arg.elem_bytes))
             .collect();
-        let plan = match self.sink.as_deref().filter(|s| s.enabled()) {
-            Some(sink) => {
-                let (sp, decisions) = session.plan_launch_explained(&launch, &binding);
-                let plan = sp.plan;
-                sink.record(Event::KernelBegin {
-                    kernel: kernel_name.to_string(),
-                    policy: self.lasp.name().to_string(),
-                    grid,
-                    schedule: plan.schedule.to_string(),
-                });
-                for d in decisions {
-                    sink.record(Event::ArgDecision {
-                        kernel: kernel_name.to_string(),
-                        arg: d.arg,
-                        name: d.name.to_string(),
-                        class: d.class,
-                        preference: d.preference.to_string(),
-                        bytes: d.bytes,
-                        winner: d.winner,
-                        page_map: plan.args[d.arg].pages.to_string(),
-                        remote_insert: plan.args[d.arg].remote_insert.to_string(),
-                    });
-                }
-                plan
-            }
-            None => session.plan_launch(&launch, &binding).plan,
-        };
-        Ok((launch, plan))
+        let (sp, decisions) = session.plan_launch_explained(&launch, &binding);
+        if let Some(sink) = self.sink.as_deref().filter(|s| s.enabled()) {
+            narrate_launch(sink, &launch, self.lasp.name(), &sp.plan, &decisions);
+        }
+        Ok((launch, sp.plan))
     }
 
     /// A fresh [`PlacementSession`] sharing this runtime's topology and

@@ -101,14 +101,6 @@ pub struct SessionPlan {
     pub binding: Vec<usize>,
 }
 
-impl SessionPlan {
-    /// Per-argument adopt flags (`true` = keep the existing page-home
-    /// state), the shape the simulator's session runner consumes.
-    pub fn adopted_flags(&self) -> Vec<bool> {
-        self.provenance.iter().map(|p| !p.needs_apply()).collect()
-    }
-}
-
 /// One allocation's placement memory.
 #[derive(Debug, Clone)]
 struct Committed {
@@ -169,11 +161,6 @@ impl PlacementSession {
     pub fn without_pinning(mut self) -> Self {
         self.pinning = false;
         self
-    }
-
-    /// Whether commitments are adopted (`true`) or replanned (`false`).
-    pub fn pinning(&self) -> bool {
-        self.pinning
     }
 
     /// Attaches a trace sink; subsequent planning reports
@@ -237,7 +224,7 @@ impl PlacementSession {
     /// Panics if `binding` does not name one allocation per kernel
     /// argument, or a launch views more bytes than its allocation holds.
     pub fn plan_launch(&mut self, launch: &LaunchInfo, binding: &[usize]) -> SessionPlan {
-        self.plan_launch_inner(launch, binding).0
+        self.plan_launch_explained(launch, binding).0
     }
 
     /// [`PlacementSession::plan_launch`] plus the per-argument
@@ -246,15 +233,6 @@ impl PlacementSession {
     /// adoptions the decisions are identical to
     /// [`Policy::plan_explained`].
     pub fn plan_launch_explained(
-        &mut self,
-        launch: &LaunchInfo,
-        binding: &[usize],
-    ) -> (SessionPlan, Vec<ArgDecision>) {
-        let (plan, decisions) = self.plan_launch_inner(launch, binding);
-        (plan, decisions)
-    }
-
-    fn plan_launch_inner(
         &mut self,
         launch: &LaunchInfo,
         binding: &[usize],
@@ -398,8 +376,7 @@ impl PlacementSession {
         // shared, not-yet-committed allocation so earlier launches
         // adopt it instead of pinning their own.
         if self.pinning {
-            for (si, a) in seq.allocs().iter().enumerate() {
-                let slot = slots[si];
+            for (si, &slot) in slots.iter().enumerate() {
                 if !seq.is_shared(si) || self.allocs[slot].committed.is_some() {
                     continue;
                 }
@@ -417,7 +394,6 @@ impl PlacementSession {
                     // adopting launch materializes it.
                     materialized: false,
                 });
-                let _ = a;
             }
         }
 

@@ -12,11 +12,13 @@
 //! Default mode samples `--trials` random trials from `--seed` and runs
 //! each through the full differential harness
 //! ([`ladm_fuzz::run_trial`]), then `--sessions` random multi-launch
-//! session trials through the adoption-transparency harness
-//! ([`ladm_fuzz::run_session_trial`]). On the first failure it prints a
-//! JSON failure report to stdout, writes the reproducer (a corpus-format
-//! spec, greedily shrunk for single-launch trials) under `--out`, and
-//! exits 1. `--replay`/`--corpus` re-run saved specs of either schema;
+//! session trials through the session harness
+//! ([`ladm_fuzz::run_session_trial`]: engine vs oracle with pinning on
+//! and off, plus adoption transparency) and reports how many compared
+//! launches moved, migrated or faulted pages. On the first failure it
+//! prints a JSON failure report to stdout, writes the reproducer (a
+//! corpus-format spec, greedily shrunk for single-launch trials) under
+//! `--out`, and exits 1. `--replay`/`--corpus` re-run saved specs of either schema;
 //! `--dump`/`--dump-session` print a trial's spec JSON for seeding the
 //! checked-in corpus.
 
@@ -119,15 +121,34 @@ fn main() {
             eprintln!("... {}/{trials} trials clean", trial + 1);
         }
     }
+    // Launches the session differential compared, and how many of them
+    // moved pages on a replan, migrated pages, or took first-touch faults.
+    let (mut launches, mut moved, mut migrated, mut faulted) = (0u64, 0u64, 0u64, 0u64);
     for trial in 0..sessions {
         let spec = session_spec(seed, trial);
-        if let Err(failure) = run_session_trial(&spec) {
-            report_session_failure(seed, trial, &spec, &failure, &out_dir);
-            std::process::exit(1);
+        match run_session_trial(&spec) {
+            Ok(runs) => {
+                for r in &runs {
+                    launches += 1;
+                    moved += u64::from(r.replaced_pages > 0);
+                    migrated += u64::from(r.stats.page_migrations > 0);
+                    faulted += u64::from(r.stats.page_faults > 0);
+                }
+            }
+            Err(failure) => {
+                report_session_failure(seed, trial, &spec, &failure, &out_dir);
+                std::process::exit(1);
+            }
         }
         if (trial + 1) % 100 == 0 {
             eprintln!("... {}/{sessions} session trials clean", trial + 1);
         }
+    }
+    if sessions > 0 {
+        println!(
+            "session launches compared with the oracle: {launches} \
+             ({moved} moved pages, {migrated} migrated pages, {faulted} took page faults)"
+        );
     }
     println!(
         "{trials} trials + {sessions} session trials, zero divergences, \
@@ -139,7 +160,9 @@ fn replay_file(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
     match corpus::parse_any(&text)? {
         AnySpec::Trial(spec) => run_trial(&spec).map(|_| ()).map_err(|f| f.to_string()),
-        AnySpec::Session(spec) => run_session_trial(&spec).map_err(|f| f.to_string()),
+        AnySpec::Session(spec) => run_session_trial(&spec)
+            .map(|_| ())
+            .map_err(|f| f.to_string()),
     }
 }
 

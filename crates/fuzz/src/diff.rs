@@ -13,7 +13,7 @@ use ladm_core::analysis::classify;
 use ladm_core::plan::PageMap;
 use ladm_core::policies::{BaselineRr, BatchFt, Lasp, Policy};
 use ladm_core::sequence::LaunchSequence;
-use ladm_core::session::PlacementSession;
+use ladm_core::session::{PlacementSession, SessionPlan};
 use ladm_sim::{
     replay_independent, GpuSystem, KernelExec, KernelStats, OracleSystem, SessionRunStats,
     SimConfig,
@@ -41,6 +41,11 @@ pub enum Failure {
     },
     /// The optimized engine disagrees with the oracle simulator.
     OracleDivergence {
+        /// The diverging session launch, counted over the launches a
+        /// session trial compares (the pinning session's, then both
+        /// passes of the pinning-off session); `None` for a
+        /// single-launch trial.
+        launch: Option<usize>,
         /// Engine stats rendering.
         engine: String,
         /// Oracle stats rendering.
@@ -132,8 +137,13 @@ impl fmt::Display for Failure {
             Failure::NonDeterministic { first, second } => {
                 write!(f, "non-deterministic replay:\n  {first}\n  {second}")
             }
-            Failure::OracleDivergence { engine, oracle } => {
-                write!(f, "engine/oracle divergence:\n  engine: {engine}\n  oracle: {oracle}")
+            Failure::OracleDivergence {
+                launch,
+                engine,
+                oracle,
+            } => {
+                let at = launch.map(|i| format!(" at launch {i}")).unwrap_or_default();
+                write!(f, "engine/oracle divergence{at}:\n  engine: {engine}\n  oracle: {oracle}")
             }
             Failure::ThreadVariance {
                 threads,
@@ -242,6 +252,7 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
     );
     if oracle != base_dbg {
         return Err(Failure::OracleDivergence {
+            launch: None,
             engine: base_dbg,
             oracle,
         });
@@ -275,16 +286,27 @@ fn run_trial_inner(spec: &TrialSpec) -> Result<KernelStats, Failure> {
 /// carry across launches, and checks:
 ///
 /// 1. a fresh session machine replays bit-identically,
-/// 2. the sharded driver is invariant to its worker-thread count, and
-/// 3. **adoption transparency** — when no committed map is stateful
+/// 2. the prefetch pipeline is invariant to its worker-thread count,
+/// 3. **engine vs oracle** — every launch's full [`SessionRunStats`]
+///    equals [`OracleSystem::run_session`]'s, on the pinning session's
+///    plans and on a pinning-off session that plans the sequence twice
+///    (so `Replanned` provenance and moved pages are compared too). No
+///    gate: first-touch pins and reactive migrations carried across
+///    launches are compared like everything else. This checks the
+///    engine's fast paths.
+/// 4. **adoption transparency** — when no committed map is stateful
 ///    (no first-touch placements, migration off), the session's per-arg
 ///    off-node attribution is bit-identical to independently replaying
 ///    the same plans on fresh machines. Carried page state under
 ///    adopted stateless maps must be indistinguishable from applying
-///    the maps anew.
+///    the maps anew. This checks the planner→simulator contract
+///    (`PlanProvenance::needs_apply`), which engine and oracle share, so
+///    no differential between them can see it break.
 ///
-/// Panics anywhere in the trial become [`Failure::Panic`].
-pub fn run_session_trial(spec: &SessionSpec) -> Result<(), Failure> {
+/// Returns every launch the oracle comparison covered, in comparison
+/// order, so callers can tally what the differential reached. Panics
+/// anywhere in the trial become [`Failure::Panic`].
+pub fn run_session_trial(spec: &SessionSpec) -> Result<Vec<SessionRunStats>, Failure> {
     match catch_unwind(AssertUnwindSafe(|| run_session_inner(spec))) {
         Ok(result) => result,
         Err(payload) => Err(Failure::Panic {
@@ -298,29 +320,70 @@ fn render_session_runs(runs: &[SessionRunStats]) -> String {
     parts.join("\n  ")
 }
 
-fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
+/// The `(bytes, elem_bytes)` pool a planned session seeds machines with.
+fn session_pool(session: &PlacementSession) -> Vec<(u64, u32)> {
+    session
+        .allocations()
+        .iter()
+        .map(|&(_, b, e)| (b, e))
+        .collect()
+}
+
+/// Runs `plans` as one session on a fresh engine machine.
+fn run_engine_session(
+    cfg: &SimConfig,
+    threads: usize,
+    pool: &[(u64, u32)],
+    kernels: &[&AffineKernel],
+    plans: &[SessionPlan],
+) -> Vec<SessionRunStats> {
+    let mut sys = GpuSystem::new(cfg.clone());
+    sys.set_threads(threads);
+    sys.begin_session(pool);
+    kernels
+        .iter()
+        .zip(plans)
+        .map(|(k, p)| sys.run_session(*k, p))
+        .collect()
+}
+
+/// Replays the session behind `engine` on the oracle machine and
+/// compares each launch's full stats rendering; `first` numbers the
+/// launches in the reported failure.
+fn compare_with_oracle(
+    cfg: &SimConfig,
+    pool: &[(u64, u32)],
+    kernels: &[&AffineKernel],
+    plans: &[SessionPlan],
+    engine: &[SessionRunStats],
+    first: usize,
+) -> Result<(), Failure> {
+    let mut oracle = OracleSystem::new(cfg.clone());
+    oracle.begin_session(pool);
+    for (i, ((k, p), e)) in kernels.iter().zip(plans).zip(engine).enumerate() {
+        let (engine, oracle) = (format!("{e:?}"), format!("{:?}", oracle.run_session(*k, p)));
+        if engine != oracle {
+            return Err(Failure::OracleDivergence {
+                launch: Some(first + i),
+                engine,
+                oracle,
+            });
+        }
+    }
+    Ok(())
+}
+
+fn run_session_inner(spec: &SessionSpec) -> Result<Vec<SessionRunStats>, Failure> {
     let kernels = spec.build_kernels();
     let cfg = spec.config.build();
     cfg.validate();
     let seq = LaunchSequence::new(kernels.iter().map(|k| k.launch().clone()).collect());
     let mut session = PlacementSession::new(cfg.topology, Lasp::ladm());
     let plans = session.plan_sequence(&seq);
-    let pool: Vec<(u64, u32)> = session
-        .allocations()
-        .iter()
-        .map(|&(_, b, e)| (b, e))
-        .collect();
+    let pool = session_pool(&session);
+    let once: Vec<&AffineKernel> = kernels.iter().collect();
 
-    let run = |threads: usize| -> Vec<SessionRunStats> {
-        let mut sys = GpuSystem::new(cfg.clone());
-        sys.set_threads(threads);
-        sys.begin_session(&pool);
-        kernels
-            .iter()
-            .zip(&plans)
-            .map(|(k, p)| sys.run_session(k, p))
-            .collect()
-    };
+    let run = |threads: usize| run_engine_session(&cfg, threads, &pool, &once, &plans);
     let base = run(1);
     let base_dbg = render_session_runs(&base);
 
@@ -343,11 +406,22 @@ fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
         }
     }
 
+    compare_with_oracle(&cfg, &pool, &once, &plans, &base, 0)?;
+    let mut replanning = PlacementSession::new(cfg.topology, Lasp::ladm()).without_pinning();
+    let mut replans = replanning.plan_sequence(&seq);
+    replans.extend(replanning.plan_sequence(&seq));
+    let replan_pool = session_pool(&replanning);
+    let twice: Vec<&AffineKernel> = once.iter().chain(&once).copied().collect();
+    let replanned = run_engine_session(&cfg, 1, &replan_pool, &twice, &replans);
+    compare_with_oracle(&cfg, &replan_pool, &twice, &replans, &replanned, base.len())?;
+
+    let compared: Vec<SessionRunStats> = base.iter().cloned().chain(replanned).collect();
+
     // Adoption transparency is only claimed for stateless maps: an
     // adopted first-touch placement carries pins an independent replay
     // cannot reproduce, and reactive migration moves pages mid-launch.
     if cfg.migration_threshold != 0 {
-        return Ok(());
+        return Ok(compared);
     }
     if plans.iter().any(|p| {
         p.plan
@@ -355,7 +429,7 @@ fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
             .iter()
             .any(|a| matches!(a.pages, PageMap::FirstTouch))
     }) {
-        return Ok(());
+        return Ok(compared);
     }
     let refs: Vec<&dyn KernelExec> = kernels.iter().map(|k| k as &dyn KernelExec).collect();
     let replayed = replay_independent(&cfg, 1, &pool, &refs, &plans);
@@ -377,7 +451,7 @@ fn run_session_inner(spec: &SessionSpec) -> Result<(), Failure> {
             });
         }
     }
-    Ok(())
+    Ok(compared)
 }
 
 /// Metamorphic soundness property for the symbolic traffic analyzer:

@@ -5,7 +5,8 @@
 //! each must run clean against the current engine and oracle.
 //! Entries are dispatched on their schema tag: `ladm-fuzz-v1` runs the
 //! single-launch differential harness, `ladm-fuzz-session-v1` the
-//! multi-launch session adoption-transparency harness.
+//! multi-launch session harness (engine vs oracle with pinning on and
+//! off, plus adoption transparency).
 
 use ladm_fuzz::corpus::{self, AnySpec};
 use ladm_fuzz::{run_session_trial, run_trial};
@@ -39,7 +40,7 @@ fn corpus_replays_clean() {
             AnySpec::Trial(t) => run_trial(t).map(|_| ()),
             AnySpec::Session(s) => {
                 sessions += 1;
-                run_session_trial(s)
+                run_session_trial(s).map(|_| ())
             }
         };
         if let Err(failure) = result {

@@ -2,16 +2,17 @@
 //! first-touch resolution.
 //!
 //! Each `cudaMallocManaged` becomes an [`Allocation`] with its own
-//! [`PageMap`] (set from the active [`KernelPlan`] at launch time, exactly
-//! as LASP re-reads the locality table on every launch). Resolution is a
-//! single bounds-checked index into a **flat page-home table** with one
-//! entry per device page, precomputed when the plan is applied: the entry
-//! carries the resolved home node (or a first-touch / sub-page sentinel),
-//! the owning allocation and its [`RemoteInsert`] policy. First-touch pins
-//! and reactive migrations are written back into the same table, so the
-//! per-sector hot path never touches a hash map or a binary search.
+//! [`PageMap`] (set from the launch's plan, one argument at a time,
+//! exactly as LASP re-reads the locality table on every launch).
+//! Resolution is a single bounds-checked index into a **flat page-home
+//! table** with one entry per device page, precomputed by
+//! [`AddressSpace::apply_arg_plan`]: the entry carries the resolved home
+//! node (or a first-touch / sub-page sentinel), the owning allocation and
+//! its [`RemoteInsert`] policy. First-touch pins and reactive migrations
+//! are written back into the same table, so the per-sector hot path never
+//! touches a hash map or a binary search.
 
-use ladm_core::plan::{ArgPlan, KernelPlan, PageHomeKind, PageMap, RemoteInsert};
+use ladm_core::plan::{ArgPlan, PageHomeKind, PageMap, RemoteInsert};
 use ladm_core::topology::{NodeId, Topology};
 
 /// [`PageHome::home`] sentinel: placement deferred to the first toucher.
@@ -174,38 +175,15 @@ impl AddressSpace {
         self.allocs.len() - 1
     }
 
-    /// Applies a kernel plan: one [`PageMap`] + [`RemoteInsert`] per
-    /// allocation, in allocation order. The flat page-home table is
-    /// rebuilt from the new maps, which also supersedes earlier
-    /// first-touch pinning and reactive migrations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's argument count differs from the number of
-    /// allocations.
-    pub fn apply_plan(&mut self, plan: &KernelPlan, topo: &Topology) {
-        assert_eq!(
-            plan.args.len(),
-            self.allocs.len(),
-            "plan must cover every allocation"
-        );
-        // Real node ids must stay clear of the table sentinels.
-        debug_assert!(topo.num_nodes() < HOME_SUB_PAGE);
-        for (alloc, arg) in self.allocs.iter_mut().zip(&plan.args) {
-            alloc.page_map = arg.pages.clone();
-            alloc.remote_insert = arg.remote_insert;
-        }
-        self.rebuild_table(topo);
-        self.migration_streaks.clear();
-        self.migrations = 0;
-    }
-
-    /// Applies one argument's plan to a single allocation, leaving every
-    /// other allocation's state — first-touch pins, migrated homes,
-    /// in-flight streaks — untouched. This is the session-mode
-    /// counterpart of [`AddressSpace::apply_plan`]: a launch that
-    /// *adopts* an allocation's committed layout never calls it, so the
-    /// pages stay exactly where the previous kernels left them.
+    /// Applies one argument's plan to a single allocation: its
+    /// [`PageMap`] and [`RemoteInsert`] are compiled into the flat
+    /// page-home table, superseding the allocation's first-touch pins,
+    /// migrated homes and in-flight streaks, while every other
+    /// allocation's state stays untouched. The only writer of page
+    /// homes besides first touch and migration: a launch calls it for
+    /// each argument it places, and a launch that *adopts* an
+    /// allocation's committed layout does not, so those pages stay
+    /// exactly where the previous kernels left them.
     ///
     /// Returns the number of already-placed pages whose home changed
     /// (the re-placement cost a replan pays on real hardware; pages
@@ -243,26 +221,6 @@ impl AddressSpace {
             }
         }
         moved
-    }
-
-    /// Recomputes every table entry from the allocations' current maps.
-    fn rebuild_table(&mut self, topo: &Topology) {
-        for (i, alloc) in self.allocs.iter().enumerate() {
-            let first = (alloc.base >> self.page_shift) as usize;
-            let pages = alloc.pages(self.page_bytes) as usize;
-            for (p, entry) in self.page_homes[first..first + pages].iter_mut().enumerate() {
-                let home = match alloc.page_map.page_home(p as u64, topo) {
-                    PageHomeKind::Node(n) => n.0,
-                    PageHomeKind::FirstTouch => HOME_FIRST_TOUCH,
-                    PageHomeKind::SubPage => HOME_SUB_PAGE,
-                };
-                *entry = PageHome {
-                    home,
-                    arg: i as u32,
-                    remote_insert: alloc.remote_insert,
-                };
-            }
-        }
     }
 
     /// The device address of element `idx` of allocation `arg`.
@@ -391,8 +349,8 @@ impl AddressSpace {
         }
     }
 
-    /// Pages moved by reactive migration since construction or the last
-    /// plan application.
+    /// Pages moved by reactive migration since construction (monotonic:
+    /// a launch's share is the difference across it).
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
@@ -408,11 +366,6 @@ impl AddressSpace {
         self.page_faults = 0;
     }
 
-    /// The configured page size.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
-    }
-
     /// All allocations in argument order.
     pub fn allocations(&self) -> &[Allocation] {
         &self.allocs
@@ -423,7 +376,7 @@ impl AddressSpace {
 mod tests {
     use super::*;
     use crate::oracle::{random_map, ReferenceResolver};
-    use ladm_core::plan::{ArgPlan, RrOrder, TbMap};
+    use ladm_core::plan::RrOrder;
     use ladm_core::rng::SplitMix64;
 
     fn topo() -> Topology {
@@ -452,14 +405,11 @@ mod tests {
     fn home_follows_plan() {
         let mut mem = AddressSpace::new(4096);
         let a = mem.alloc(64 * 4096, 4);
-        let plan = KernelPlan {
-            args: vec![ArgPlan::new(PageMap::Interleave {
-                gran_pages: 1,
-                order: RrOrder::Hierarchical,
-            })],
-            schedule: TbMap::Chunk { per_node: 1 },
+        let map = PageMap::Interleave {
+            gran_pages: 1,
+            order: RrOrder::Hierarchical,
         };
-        mem.apply_plan(&plan, &topo());
+        assert_eq!(mem.apply_arg_plan(a, &ArgPlan::new(map), &topo()), 0);
         let base = mem.allocations()[a].base;
         let h0 = mem.home_of(base, NodeId(9), &topo());
         let h1 = mem.home_of(base + 4096, NodeId(9), &topo());
@@ -483,30 +433,29 @@ mod tests {
     }
 
     #[test]
-    fn apply_plan_resets_first_touch() {
+    fn apply_arg_plan_resets_only_its_own_first_touch_pins() {
         let mut mem = AddressSpace::new(4096);
         let a = mem.alloc(4096, 4);
-        let base = mem.allocations()[a].base;
-        mem.home_of(base, NodeId(7), &topo());
-        let plan = KernelPlan {
-            args: vec![ArgPlan::new(PageMap::FirstTouch)],
-            schedule: TbMap::Chunk { per_node: 1 },
-        };
-        mem.apply_plan(&plan, &topo());
-        let h = mem.home_of(base, NodeId(2), &topo());
+        let b = mem.alloc(4096, 4);
+        let (base_a, base_b) = (mem.allocations()[a].base, mem.allocations()[b].base);
+        mem.home_of(base_a, NodeId(7), &topo());
+        mem.home_of(base_b, NodeId(7), &topo());
+        // The pinned page counts as moved: its home leaves node 7.
+        let moved = mem.apply_arg_plan(a, &ArgPlan::new(PageMap::FirstTouch), &topo());
+        assert_eq!(moved, 1);
+        let h = mem.home_of(base_a, NodeId(2), &topo());
         assert!(h.faulted);
         assert_eq!(h.node, NodeId(2));
+        let h = mem.home_of(base_b, NodeId(2), &topo());
+        assert!(!h.faulted, "the other allocation keeps its pin");
+        assert_eq!(h.node, NodeId(7));
     }
 
     #[test]
     fn migration_triggers_after_streak_and_repins() {
         let mut mem = AddressSpace::new(4096);
         let a = mem.alloc(16 * 4096, 4);
-        let plan = KernelPlan {
-            args: vec![ArgPlan::new(PageMap::Fixed(NodeId(0)))],
-            schedule: TbMap::Chunk { per_node: 1 },
-        };
-        mem.apply_plan(&plan, &topo());
+        mem.apply_arg_plan(a, &ArgPlan::new(PageMap::Fixed(NodeId(0))), &topo());
         let addr = mem.allocations()[a].base + 4096; // page 1
         assert_eq!(mem.home_of(addr, NodeId(5), &topo()).node, NodeId(0));
         // Two accesses from node 5: threshold 3 not reached.
@@ -539,17 +488,12 @@ mod tests {
         let mut mem = AddressSpace::new(4096);
         mem.alloc(2 * 4096, 4);
         mem.alloc(4096, 4);
-        let plan = KernelPlan {
-            args: vec![
-                ArgPlan::new(PageMap::Fixed(NodeId(2))),
-                ArgPlan {
-                    pages: PageMap::Fixed(NodeId(5)),
-                    remote_insert: RemoteInsert::Once,
-                },
-            ],
-            schedule: TbMap::Chunk { per_node: 1 },
+        mem.apply_arg_plan(0, &ArgPlan::new(PageMap::Fixed(NodeId(2))), &topo());
+        let once = ArgPlan {
+            pages: PageMap::Fixed(NodeId(5)),
+            remote_insert: RemoteInsert::Once,
         };
-        mem.apply_plan(&plan, &topo());
+        mem.apply_arg_plan(1, &once, &topo());
         let a0 = mem.allocations()[0].base;
         let a1 = mem.allocations()[1].base;
         let h0 = mem.resolve(a0 + 4096, NodeId(0), &topo());
@@ -566,9 +510,10 @@ mod tests {
     }
 
     /// Differential oracle: the flat page-home table must agree with the
-    /// removed HashMap + binary-search path on randomized plans covering
-    /// every `PageMap` variant, first-touch orderings and migration
-    /// streaks crossing the threshold — including interleaved re-plans.
+    /// HashMap + binary-search [`ReferenceResolver`] on randomized plans
+    /// covering every `PageMap` variant, first-touch orderings and
+    /// migration streaks crossing the threshold — including per-argument
+    /// re-plans mid-stream, whose moved-page counts must agree too.
     #[test]
     fn flat_table_matches_reference_resolver() {
         let t = topo();
@@ -576,31 +521,47 @@ mod tests {
         for trial in 0..40 {
             let page_bytes = 4096u64;
             let mut mem = AddressSpace::new(page_bytes);
+            let mut reference = ReferenceResolver::new(page_bytes);
             let num_args = 1 + rng.below(4) as usize;
             for _ in 0..num_args {
                 let elem_bytes = [1u32, 4, 8][rng.below(3) as usize];
                 let len = u64::from(rng.range_u32(1, 20)) * 1024;
                 mem.alloc(len, elem_bytes);
+                reference.alloc(len, elem_bytes);
             }
-            let mut reference = ReferenceResolver::mirror(&mem);
-            let make_plan = |rng: &mut SplitMix64, mem: &AddressSpace| KernelPlan {
-                args: mem
-                    .allocations()
+            let layout = |allocs: &[Allocation]| -> Vec<(u64, u64, u64)> {
+                allocs
                     .iter()
-                    .map(|a| ArgPlan {
-                        pages: random_map(rng, &t, a.pages(page_bytes)),
+                    .map(|a| (a.base, a.len_bytes, a.elems))
+                    .collect()
+            };
+            assert_eq!(layout(mem.allocations()), layout(reference.allocations()));
+            // Applies a random plan to each argument drawn with
+            // probability `1 / every`, on both sides.
+            let replan = |rng: &mut SplitMix64,
+                          mem: &mut AddressSpace,
+                          reference: &mut ReferenceResolver,
+                          every: u32| {
+                for i in 0..num_args {
+                    if !rng.chance(1, every) {
+                        continue;
+                    }
+                    let arg = ArgPlan {
+                        pages: random_map(rng, &t, mem.allocations()[i].pages(page_bytes)),
                         remote_insert: if rng.chance(1, 2) {
                             RemoteInsert::Twice
                         } else {
                             RemoteInsert::Once
                         },
-                    })
-                    .collect(),
-                schedule: TbMap::Chunk { per_node: 1 },
+                    };
+                    assert_eq!(
+                        mem.apply_arg_plan(i, &arg, &t),
+                        reference.apply_arg_plan(i, &arg, &t),
+                        "trial {trial}: moved pages of arg {i} diverged"
+                    );
+                }
             };
-            let plan = make_plan(&mut rng, &mem);
-            mem.apply_plan(&plan, &t);
-            reference.apply_plan(&plan);
+            replan(&mut rng, &mut mem, &mut reference, 1);
             let lo = mem.allocations()[0].base;
             let hi = mem.allocations().last().unwrap().base
                 + mem.allocations().last().unwrap().pages(page_bytes) * page_bytes;
@@ -625,12 +586,11 @@ mod tests {
                     let migrated_ref = reference.record_remote_access(addr, node, threshold);
                     assert_eq!(migrated, migrated_ref, "trial {trial} step {step}");
                 }
-                // Occasionally re-plan mid-stream: pins and migrations
-                // must reset identically.
-                if step % 200 == 199 && rng.chance(1, 2) {
-                    let plan = make_plan(&mut rng, &mem);
-                    mem.apply_plan(&plan, &t);
-                    reference.apply_plan(&plan);
+                // Occasionally re-plan some arguments mid-stream: their
+                // pins, migrations and streaks must reset identically
+                // while the others' carry on.
+                if step % 200 == 199 {
+                    replan(&mut rng, &mut mem, &mut reference, 2);
                 }
             }
             assert_eq!(mem.page_faults(), reference.page_faults(), "trial {trial}");
@@ -652,18 +612,5 @@ mod tests {
         let mut mem = AddressSpace::new(4096);
         mem.alloc(4096, 4);
         mem.home_of(1 << 40, NodeId(0), &topo());
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every allocation")]
-    fn plan_arg_count_mismatch_panics() {
-        let mut mem = AddressSpace::new(4096);
-        mem.alloc(4096, 4);
-        mem.alloc(4096, 4);
-        let plan = KernelPlan {
-            args: vec![ArgPlan::new(PageMap::FirstTouch)],
-            schedule: TbMap::Chunk { per_node: 1 },
-        };
-        mem.apply_plan(&plan, &topo());
     }
 }

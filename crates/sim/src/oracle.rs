@@ -5,10 +5,11 @@
 //! structure in the engine, with none of the memoization the hot path
 //! relies on:
 //!
-//! * [`ReferenceResolver`] — HashMap first-touch/migration side tables
-//!   plus a binary search over allocations, vs the flat page-home table
-//!   of [`crate::mem::AddressSpace`] (promoted from the `mem` test
-//!   module so the differential test and the fuzzer share one reference
+//! * [`ReferenceResolver`] — its own allocation layout, HashMap
+//!   first-touch/migration side tables and a binary search over
+//!   allocations, vs the flat page-home table of
+//!   [`crate::mem::AddressSpace`] (promoted from the `mem` test module
+//!   so the differential test and the fuzzer share one reference
 //!   implementation);
 //! * [`OracleCache`] — an unfused per-set vector-of-ways cache with a
 //!   split probe/fill path, vs the packed-metadata single-scan
@@ -21,29 +22,43 @@
 //!   regenerated from scratch on every iteration, vs the sharded
 //!   heap-driven engine with slot caches and prefetched generation.
 //!
+//! Like the engine, the oracle has one launch path: [`OracleSystem::run`]
+//! is a one-launch session (plan, [`OracleSystem::begin_session`], an
+//! all-fresh [`OracleSystem::run_session`]), and a session keeps the
+//! resolver's side tables across launches, so first-touch pins,
+//! migrations and replan movement carry over exactly as in
+//! [`crate::GpuSystem::run_session`].
+//!
 //! The oracle intentionally shares **no** stateful code with the engine
-//! (only immutable inputs: `SimConfig`, plans, kernels), so a bug in any
-//! fast-path optimization shows up as a [`crate::KernelStats`]
-//! divergence under `ladm-fuzz`'s differential harness.
+//! (only immutable inputs: `SimConfig`, kernels, the `SessionPlan`,
+//! `PlanProvenance::needs_apply` and `PageMap::page_home`), so a bug in
+//! any fast-path optimization shows up as a [`crate::KernelStats`] or
+//! [`crate::SessionRunStats`] divergence under `ladm-fuzz`'s
+//! differential harness.
 
 use crate::config::{CacheConfig, SimConfig};
 use crate::exec::{KernelExec, ThreadAccess};
 use crate::mem::{Allocation, HomeLookup, SectorHome};
 use crate::stats::KernelStats;
-use ladm_core::plan::{KernelPlan, PageMap, RemoteInsert, RrOrder};
+use crate::system::SessionRunStats;
+use ladm_core::plan::{ArgPlan, PageHomeKind, PageMap, RemoteInsert, RrOrder};
 use ladm_core::policies::Policy;
 use ladm_core::rng::SplitMix64;
+use ladm_core::session::{PlanProvenance, SessionPlan};
 use ladm_core::topology::{NodeId, Topology};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// The pre-flat-table resolution path — `partition_point` binary search
 /// over allocations plus `first_touch` / `migrated` side HashMaps — kept
-/// verbatim as the oracle for the page-home differential test and the
-/// fuzzer's oracle machine.
+/// as the oracle for the page-home differential test and the fuzzer's
+/// oracle machine. It lays out its own allocations and keeps its side
+/// tables across the launches of a session, sharing nothing stateful
+/// with [`crate::mem::AddressSpace`].
 #[derive(Debug)]
 pub struct ReferenceResolver {
     page_bytes: u64,
     allocs: Vec<Allocation>,
+    next_base: u64,
     first_touch: HashMap<u64, NodeId>,
     migrated: HashMap<u64, NodeId>,
     migration_state: HashMap<u64, (NodeId, u32)>,
@@ -52,12 +67,13 @@ pub struct ReferenceResolver {
 }
 
 impl ReferenceResolver {
-    /// Copies the allocation layout of `mem` with empty side tables and
-    /// zeroed counters.
-    pub fn mirror(mem: &crate::mem::AddressSpace) -> Self {
+    /// An empty address space with `page_bytes` pages; page 0 stays
+    /// unmapped.
+    pub fn new(page_bytes: u64) -> Self {
         ReferenceResolver {
-            page_bytes: mem.page_bytes(),
-            allocs: mem.allocations().to_vec(),
+            page_bytes,
+            allocs: Vec::new(),
+            next_base: page_bytes,
             first_touch: HashMap::new(),
             migrated: HashMap::new(),
             migration_state: HashMap::new(),
@@ -66,18 +82,61 @@ impl ReferenceResolver {
         }
     }
 
-    /// Applies a kernel plan: one page map + insertion policy per
-    /// allocation, clearing first-touch pins and migrations (the fault
-    /// counter persists, mirroring `AddressSpace::apply_plan`).
-    pub fn apply_plan(&mut self, plan: &KernelPlan) {
-        for (alloc, arg) in self.allocs.iter_mut().zip(&plan.args) {
-            alloc.page_map = arg.pages.clone();
-            alloc.remote_insert = arg.remote_insert;
+    /// Appends a first-touch allocation of `len_bytes` (at least one) at
+    /// the next free page and returns its index.
+    pub fn alloc(&mut self, len_bytes: u64, elem_bytes: u32) -> usize {
+        let len = len_bytes.max(1);
+        let alloc = Allocation {
+            base: self.next_base,
+            len_bytes: len,
+            elem_bytes,
+            elems: (len / u64::from(elem_bytes)).max(1),
+            page_map: PageMap::FirstTouch,
+            remote_insert: RemoteInsert::Twice,
+        };
+        self.next_base += alloc.pages(self.page_bytes) * self.page_bytes;
+        self.allocs.push(alloc);
+        self.allocs.len() - 1
+    }
+
+    /// All allocations in index order.
+    pub fn allocations(&self) -> &[Allocation] {
+        &self.allocs
+    }
+
+    /// Applies one argument's page map + insertion policy to allocation
+    /// `idx`, dropping that allocation's first-touch pins, migrations
+    /// and streaks (other allocations keep theirs; the counters
+    /// persist). Returns the already-placed pages whose home the new
+    /// map changes, read from this resolver's own side tables.
+    pub fn apply_arg_plan(&mut self, idx: usize, arg: &ArgPlan, topo: &Topology) -> u64 {
+        let page_bytes = self.page_bytes;
+        let alloc = &mut self.allocs[idx];
+        let first = alloc.base / page_bytes;
+        let mut moved = 0;
+        for p in 0..alloc.pages(page_bytes) {
+            let page = first + p;
+            let pinned = self.first_touch.remove(&page);
+            self.migration_state.remove(&page);
+            let old = self
+                .migrated
+                .remove(&page)
+                .or(match alloc.page_map.page_home(p, topo) {
+                    PageHomeKind::Node(n) => Some(n),
+                    PageHomeKind::FirstTouch => pinned,
+                    PageHomeKind::SubPage => None,
+                });
+            let new = match arg.pages.page_home(p, topo) {
+                PageHomeKind::Node(n) => Some(n),
+                PageHomeKind::FirstTouch | PageHomeKind::SubPage => None,
+            };
+            if old.is_some() && old != new {
+                moved += 1;
+            }
         }
-        self.first_touch.clear();
-        self.migrated.clear();
-        self.migration_state.clear();
-        self.migrations = 0;
+        alloc.page_map = arg.pages.clone();
+        alloc.remote_insert = arg.remote_insert;
+        moved
     }
 
     /// The allocation containing `addr`, by binary search.
@@ -173,8 +232,7 @@ impl ReferenceResolver {
         self.page_faults
     }
 
-    /// Pages moved by reactive migration since construction or the last
-    /// [`ReferenceResolver::apply_plan`].
+    /// Pages moved by reactive migration since construction.
     pub fn migrations(&self) -> u64 {
         self.migrations
     }
@@ -500,13 +558,17 @@ struct OSm {
     next_issue: f64,
 }
 
-/// The oracle machine: runs any kernel/policy pair through the naive
-/// component models in the same canonical `(time, seq)` event order as
-/// the fast engine, producing [`KernelStats`] that must match the
-/// engine's bit for bit.
+/// The oracle machine: runs any kernel/policy pair — or any session of
+/// launches — through the naive component models in the same canonical
+/// `(time, seq)` event order as the fast engine, producing statistics
+/// that must match the engine's bit for bit.
 #[derive(Debug)]
 pub struct OracleSystem {
     cfg: SimConfig,
+    /// The session's allocations and page-home side tables, carried
+    /// across launches; everything else is rebuilt per launch (every
+    /// launch starts with flushed caches and idle links).
+    resolver: ReferenceResolver,
 }
 
 impl OracleSystem {
@@ -517,7 +579,10 @@ impl OracleSystem {
     /// Panics if the configuration fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig) -> Self {
         cfg.validate();
-        OracleSystem { cfg }
+        OracleSystem {
+            resolver: ReferenceResolver::new(cfg.page_bytes),
+            cfg,
+        }
     }
 
     /// The machine configuration.
@@ -525,26 +590,67 @@ impl OracleSystem {
         &self.cfg
     }
 
-    /// Allocates, plans and executes `kernel` under `policy`, returning
-    /// statistics that must be bit-identical (under `{:?}` formatting)
-    /// to [`crate::GpuSystem::run`] on the same inputs.
+    /// Allocates, plans and executes `kernel` under `policy` as a
+    /// one-launch session of fresh arguments, returning statistics that
+    /// must be bit-identical (under `{:?}` formatting) to
+    /// [`crate::GpuSystem::run`] on the same inputs.
     pub fn run(&mut self, kernel: &dyn KernelExec, policy: &dyn Policy) -> KernelStats {
         let launch = kernel.launch();
-        let topo = self.cfg.topology;
-        let plan = policy.plan(launch, &topo);
-        // Allocation layout only: the oracle resolves page homes through
-        // the HashMap-based ReferenceResolver, never the flat table.
-        let mut mem = crate::mem::AddressSpace::new(self.cfg.page_bytes);
-        for (i, arg) in launch.kernel.args.iter().enumerate() {
-            mem.alloc(launch.arg_bytes(i).max(1), arg.elem_bytes);
-        }
-        let mut resolver = ReferenceResolver::mirror(&mem);
-        resolver.apply_plan(&plan);
-        let addr_tab: Vec<(u64, u64, u64)> = mem
-            .allocations()
+        let plan = policy.plan(launch, &self.cfg.topology);
+        let allocs: Vec<(u64, u32)> = launch
+            .kernel
+            .args
             .iter()
-            .map(|a| (a.base, a.elems, u64::from(a.elem_bytes)))
+            .enumerate()
+            .map(|(i, arg)| (launch.arg_bytes(i), arg.elem_bytes))
             .collect();
+        self.begin_session(&allocs);
+        let splan = SessionPlan {
+            plan,
+            provenance: vec![PlanProvenance::Fresh; allocs.len()],
+            binding: (0..allocs.len()).collect(),
+        };
+        self.run_session(kernel, &splan).stats
+    }
+
+    /// Seeds a session's allocation pool, one `(bytes, elem_bytes)`
+    /// allocation per slot, discarding any earlier page-home state (the
+    /// counterpart of [`crate::GpuSystem::begin_session`]).
+    pub fn begin_session(&mut self, allocs: &[(u64, u32)]) {
+        self.resolver = ReferenceResolver::new(self.cfg.page_bytes);
+        for &(bytes, elem_bytes) in allocs {
+            self.resolver.alloc(bytes, elem_bytes);
+        }
+    }
+
+    /// Executes one session launch: writes the page maps of arguments
+    /// whose provenance needs it, then runs the kernel against the
+    /// carried page-home state with its arguments bound to
+    /// `splan.binding`. Must match [`crate::GpuSystem::run_session`]
+    /// bit for bit.
+    pub fn run_session(&mut self, kernel: &dyn KernelExec, splan: &SessionPlan) -> SessionRunStats {
+        let launch = kernel.launch();
+        let topo = self.cfg.topology;
+        let mut replaced_pages = 0;
+        for (i, prov) in splan.provenance.iter().enumerate() {
+            if prov.needs_apply() {
+                replaced_pages +=
+                    self.resolver
+                        .apply_arg_plan(splan.binding[i], &splan.plan.args[i], &topo);
+            }
+        }
+        let plan = &splan.plan;
+        let faults_before = self.resolver.page_faults();
+        let migrations_before = self.resolver.migrations();
+        let addr_tab: Vec<(u64, u64, u64)> = splan
+            .binding
+            .iter()
+            .map(|&b| {
+                let a = &self.resolver.allocations()[b];
+                (a.base, a.elems, u64::from(a.elem_bytes))
+            })
+            .collect();
+        let attr_args = self.resolver.allocations().len();
 
         let warp_size = self.cfg.warp_size;
         let threads_per_tb = launch.threads_per_tb() as u32;
@@ -561,7 +667,7 @@ impl OracleSystem {
 
         let mut eng = OracleEngine {
             kernel,
-            resolver,
+            resolver: &mut self.resolver,
             topo,
             sms_per_chiplet,
             warps_per_tb,
@@ -601,7 +707,7 @@ impl OracleSystem {
             events: Vec::new(),
             seq: 0,
             stats: KernelStats {
-                offnode_by_arg: vec![0; mem.allocations().len()],
+                offnode_by_arg: vec![0; attr_args],
                 ..KernelStats::default()
             },
             remote_args: 0,
@@ -631,16 +737,20 @@ impl OracleSystem {
         stats.offnode_by_arg.truncate(eng.remote_args);
         stats.inter_chiplet_bytes = eng.fabric.inter_chiplet_bytes;
         stats.inter_gpu_bytes = eng.fabric.inter_gpu_bytes;
-        stats.page_faults = eng.resolver.page_faults();
-        stats.page_migrations = eng.resolver.migrations();
-        stats
+        stats.page_faults = eng.resolver.page_faults() - faults_before;
+        stats.page_migrations = eng.resolver.migrations() - migrations_before;
+        SessionRunStats {
+            stats,
+            replaced_pages,
+            replaced_bytes: replaced_pages * self.cfg.page_bytes,
+        }
     }
 }
 
 /// All mutable state of one oracle execution.
 struct OracleEngine<'a> {
     kernel: &'a dyn KernelExec,
-    resolver: ReferenceResolver,
+    resolver: &'a mut ReferenceResolver,
     topo: Topology,
     sms_per_chiplet: u32,
     warps_per_tb: u32,
@@ -1143,6 +1253,68 @@ mod tests {
         cfg.page_fault_cycles = 500;
         cfg.remote_caching = false;
         assert_oracle_matches(cfg, &kernel, &BatchFt::new());
+    }
+
+    /// A session the fuzzer never reaches (LASP sessions never plan
+    /// first-touch pages): Batch+FT fresh → adopted → LASP replanned →
+    /// Batch+FT fresh over the same three allocations. First-touch pins
+    /// carry across the adoption, the replan moves them, and the last
+    /// launch drops them and faults again — with and without reactive
+    /// migration.
+    #[test]
+    fn oracle_matches_engine_on_a_first_touch_session() {
+        let kernel = VecAdd::new(128, 128, 2);
+        let launch = kernel.launch();
+        let pool: Vec<(u64, u32)> = (0..3).map(|i| (launch.arg_bytes(i), 4)).collect();
+        let adopted = PlanProvenance::Adopted {
+            pinned_by: "vecadd",
+            reuse: 1,
+            first: false,
+        };
+        let replanned = PlanProvenance::Replanned {
+            was_pinned_by: "vecadd",
+            reuse_lost: 1,
+        };
+        for threshold in [0, 2] {
+            let mut cfg = SimConfig::paper_multi_gpu();
+            cfg.migration_threshold = threshold;
+            cfg.page_fault_cycles = 500;
+            let ft = BatchFt::new().plan(launch, &cfg.topology);
+            let lasp = Lasp::ladm().plan(launch, &cfg.topology);
+            let launches = [
+                (ft.clone(), PlanProvenance::Fresh),
+                (ft.clone(), adopted.clone()),
+                (lasp, replanned.clone()),
+                (ft, PlanProvenance::Fresh),
+            ];
+            let mut fast = GpuSystem::new(cfg.clone());
+            fast.begin_session(&pool);
+            let mut slow = OracleSystem::new(cfg);
+            slow.begin_session(&pool);
+            let mut runs = Vec::new();
+            for (i, (plan, prov)) in launches.into_iter().enumerate() {
+                let splan = SessionPlan {
+                    plan,
+                    provenance: vec![prov; 3],
+                    binding: vec![0, 1, 2],
+                };
+                let engine = fast.run_session(&kernel, &splan);
+                let oracle = slow.run_session(&kernel, &splan);
+                assert_eq!(
+                    format!("{engine:?}"),
+                    format!("{oracle:?}"),
+                    "launch {i} diverged at migration threshold {threshold}"
+                );
+                runs.push(engine);
+            }
+            assert!(runs[0].stats.page_faults > 0, "first touch faults");
+            assert_eq!(runs[1].stats.page_faults, 0, "adoption keeps the pins");
+            assert!(runs[2].replaced_pages > 0, "the replan moves pinned pages");
+            assert!(runs[3].replaced_pages > 0 && runs[3].stats.page_faults > 0);
+            if threshold > 0 {
+                assert!(runs.iter().any(|r| r.stats.page_migrations > 0));
+            }
+        }
     }
 
     #[test]

@@ -3,14 +3,17 @@
 //! stateful cross-kernel planner, `ladm-core`) to a [`GpuSystem`]
 //! executing its launches with page-home state carried across kernels.
 //!
-//! The stateless [`GpuSystem::run`] re-seeds the address space per
-//! kernel — correct for isolated workloads, but it silently grants
-//! every launch a free re-placement of all its pages. [`SessionSim`]
-//! models what real hardware does instead: pages stay where the
-//! previous kernel left them, a launch that *adopts* a committed
-//! layout touches nothing, and a launch that replans pays the
-//! re-placement (reported per launch as
-//! [`SessionRunStats::replaced_bytes`]).
+//! The stateless [`GpuSystem::run`] is a one-launch session: it
+//! re-seeds the address space per kernel — correct for isolated
+//! workloads, but it silently grants every launch a free re-placement
+//! of all its pages. [`SessionSim`] models what real hardware does
+//! instead: pages stay where the previous kernel left them, a launch
+//! that *adopts* a committed layout touches nothing, and a launch that
+//! replans pays the re-placement (reported per launch as
+//! [`SessionRunStats::replaced_bytes`]). Both go through the engine's
+//! one launch routine, so session launches are traced like any other,
+//! and [`crate::OracleSystem`] replays the same sessions for the
+//! fuzzer's engine-vs-oracle differential.
 //!
 //! The driver assumes the allocation pool is append-only with fixed
 //! sizes (a decode loop re-uses the same named buffers every step);
@@ -56,12 +59,6 @@ impl SessionSim {
         self.sys.set_threads(threads);
     }
 
-    /// The planning session (e.g. to attach a trace sink before the
-    /// first step).
-    pub fn session_mut(&mut self) -> &mut PlacementSession {
-        &mut self.session
-    }
-
     /// The session allocation index of the buffer named `name`, once a
     /// step has registered it.
     pub fn alloc_index(&self, name: &str) -> Option<usize> {
@@ -99,14 +96,13 @@ impl SessionSim {
             let shape: Vec<(u64, u32)> = pool.iter().map(|&(_, b, e)| (b, e)).collect();
             self.sys.begin_session(&shape);
         } else {
-            for &(name, bytes, elem_bytes) in &pool[..self.seeded] {
+            for &(name, bytes, _) in &pool[..self.seeded] {
                 let a = &self.sys.mem.allocations()[self.alloc_index(name).unwrap()];
                 assert_eq!(
                     a.len_bytes, bytes,
                     "session allocation `{name}` was resized; the simulated \
                      address space cannot grow an allocation in place"
                 );
-                let _ = elem_bytes;
             }
             for &(_, bytes, elem_bytes) in &pool[self.seeded..] {
                 self.sys.mem.alloc(bytes.max(1), elem_bytes);
@@ -135,7 +131,7 @@ pub fn replay_independent(
         .zip(plans)
         .map(|(kernel, plan)| {
             let mut sys = GpuSystem::new(cfg.clone());
-            sys.set_threads(threads.max(1));
+            sys.set_threads(threads);
             sys.begin_session(pool);
             let fresh = SessionPlan {
                 plan: plan.plan.clone(),
@@ -151,15 +147,18 @@ pub fn replay_independent(
 mod tests {
     use super::*;
     use crate::exec::ThreadAccess;
+    use crate::oracle::OracleSystem;
     use crate::stats::KernelStats;
     use ladm_core::analysis::GridShape;
     use ladm_core::expr::{Expr, Var};
     use ladm_core::launch::{ArgStatic, KernelStatic, LaunchInfo};
 
-    /// A minimal streaming KernelExec over one argument.
+    /// A minimal streaming KernelExec over one argument: thread `tx` of
+    /// block `bx` reads (or writes) element `bx·bdx + tx`.
     #[derive(Debug)]
     struct Stream {
         launch: LaunchInfo,
+        write: bool,
     }
 
     impl KernelExec for Stream {
@@ -183,7 +182,11 @@ mod tests {
                     break;
                 }
                 let idx = u64::from(tb.0) * u64::from(bdx) + u64::from(t);
-                out.push(ThreadAccess::load(0, idx));
+                out.push(if self.write {
+                    ThreadAccess::store(0, idx)
+                } else {
+                    ThreadAccess::load(0, idx)
+                });
             }
         }
         fn iter_invariant(&self) -> bool {
@@ -192,15 +195,76 @@ mod tests {
     }
 
     fn stream(name: &'static str) -> Box<dyn KernelExec> {
+        stream_of(name, false, 64, 64)
+    }
+
+    fn stream_of(name: &'static str, write: bool, blocks: u32, bdx: u32) -> Box<dyn KernelExec> {
         let idx = (Expr::var(Var::Bx) * Expr::var(Var::Bdx) + Expr::var(Var::Tx)).to_poly();
+        let arg = if write {
+            ArgStatic::write("a", 4, idx)
+        } else {
+            ArgStatic::read("a", 4, idx)
+        };
         let kernel = KernelStatic {
             name,
             grid_shape: GridShape::OneD,
-            args: vec![ArgStatic::read("a", 4, idx)],
+            args: vec![arg],
         };
+        let elems = u64::from(blocks) * u64::from(bdx);
         Box::new(Stream {
-            launch: LaunchInfo::new(kernel, (64, 1), (64, 1), vec![64 * 64]),
+            launch: LaunchInfo::new(kernel, (blocks, 1), (bdx, 1), vec![elems]),
+            write,
         })
+    }
+
+    /// A row-shared reader: on trip `m`, thread `(tx, ty)` of block
+    /// `(bx, by)` reads `a[(by·bdy + ty)·lda + m·bdx + tx]`, so every
+    /// block of a grid row reads the same rows and LASP bands `a` by row.
+    #[derive(Debug)]
+    struct RowReader {
+        launch: LaunchInfo,
+        lda: u32,
+    }
+
+    impl RowReader {
+        fn boxed(name: &'static str, grid: (u32, u32), block: (u32, u32), lda: u32) -> Box<Self> {
+            let row = Expr::var(Var::By) * Expr::var(Var::Bdy) + Expr::var(Var::Ty);
+            let col = Expr::var(Var::Ind(0)) * Expr::var(Var::Bdx) + Expr::var(Var::Tx);
+            let kernel = KernelStatic {
+                name,
+                grid_shape: GridShape::TwoD,
+                args: vec![ArgStatic::read(
+                    "a",
+                    4,
+                    (row * Expr::param("lda") + col).to_poly(),
+                )],
+            };
+            let elems = u64::from(grid.1 * block.1) * u64::from(lda);
+            let launch =
+                LaunchInfo::new(kernel, grid, block, vec![elems]).with_param("lda", i64::from(lda));
+            Box::new(RowReader { launch, lda })
+        }
+    }
+
+    impl KernelExec for RowReader {
+        fn launch(&self) -> &LaunchInfo {
+            &self.launch
+        }
+        fn trips(&self) -> u32 {
+            self.lda / self.launch.block.0
+        }
+        fn warp_accesses(&self, tb: (u32, u32), warp: u32, iter: u32, out: &mut Vec<ThreadAccess>) {
+            let (bdx, bdy) = self.launch.block;
+            for lane in 0..32u32 {
+                let t = warp * 32 + lane;
+                if t >= bdx * bdy {
+                    break;
+                }
+                let row = u64::from(tb.1 * bdy + t / bdx);
+                let col = u64::from(iter * bdx + t % bdx);
+                out.push(ThreadAccess::load(0, row * u64::from(self.lda) + col));
+            }
+        }
     }
 
     fn cfg() -> SimConfig {
@@ -226,17 +290,43 @@ mod tests {
 
     #[test]
     fn replanning_baseline_pays_replacement_when_maps_move() {
-        // With pinning off every launch replans; for identical launches
-        // the maps agree so nothing moves — the counter must still be
-        // exercised by a map change, which `run_session` reports via
-        // `apply_arg_plan`. Simplest check: stats equal the pinned run,
-        // re-placement stays zero for agreeing maps.
-        let kernels = vec![stream("s1"), stream("s2")];
-        let mut pinned = SessionSim::new(cfg(), Lasp::ladm(), true);
-        let mut replan = SessionSim::new(cfg(), Lasp::ladm(), false);
-        let a = pinned.run_step(&kernels);
-        let b = replan.run_step(&kernels);
-        assert_eq!(a[1].stats.sectors_offnode, b[1].stats.sectors_offnode);
+        // A streaming writer, then a row-shared reader of the same
+        // buffer (the L009 pair). With pinning off the reader replans
+        // the writer's layout into its own row bands, so pages the
+        // writer already placed must move.
+        let kernels: Vec<Box<dyn KernelExec>> = vec![
+            stream_of("writer", true, 512, 256),
+            RowReader::boxed("reader", (8, 16), (128, 2), 4096),
+        ];
+        let mut sim = SessionSim::new(cfg(), Lasp::ladm(), false);
+        let runs = sim.run_step(&kernels);
+        assert_eq!(runs[0].replaced_pages, 0, "placing unbound pages is free");
+        assert!(runs[1].replaced_pages > 0, "the replan must move pages");
+        assert_eq!(
+            runs[1].replaced_bytes,
+            runs[1].replaced_pages * cfg().page_bytes
+        );
+
+        // The oracle, replaying the same replanning session, charges the
+        // same movement and agrees on every statistic.
+        let seq = LaunchSequence::new(kernels.iter().map(|k| k.launch().clone()).collect());
+        let mut session = PlacementSession::new(cfg().topology, Lasp::ladm()).without_pinning();
+        let plans = session.plan_sequence(&seq);
+        assert!(matches!(
+            plans[1].provenance[0],
+            PlanProvenance::Replanned { .. }
+        ));
+        let pool: Vec<(u64, u32)> = session
+            .allocations()
+            .iter()
+            .map(|&(_, b, e)| (b, e))
+            .collect();
+        let mut oracle = OracleSystem::new(cfg());
+        oracle.begin_session(&pool);
+        for (kernel, (plan, run)) in kernels.iter().zip(plans.iter().zip(&runs)) {
+            let want = oracle.run_session(&**kernel, plan);
+            assert_eq!(format!("{run:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]

@@ -33,8 +33,8 @@ use crate::mem::AddressSpace;
 use crate::shard::{ChipletShard, RemoteRequest, SectorCtx};
 use crate::stats::KernelStats;
 use ladm_core::plan::KernelPlan;
-use ladm_core::policies::Policy;
-use ladm_core::session::SessionPlan;
+use ladm_core::policies::{narrate_launch, ArgDecision, Policy};
+use ladm_core::session::{PlanProvenance, SessionPlan};
 use ladm_core::topology::NodeId;
 use ladm_obs::{prof, Event as TraceEvent, SectorRoute, TraceSink};
 use std::any::Any;
@@ -302,11 +302,13 @@ impl GpuSystem {
         self.threads
     }
 
-    /// Attaches a trace sink: subsequent [`GpuSystem::run`]s report the
-    /// planning decision chain, TB dispatch/retire, per-sector routes,
-    /// per-level link claims and first-touch resolutions to it. The
-    /// disabled path (no sink, or `enabled() == false`) allocates
-    /// nothing and leaves [`KernelStats`] bit-identical.
+    /// Attaches a trace sink: every subsequent launch ([`GpuSystem::run`]
+    /// or [`GpuSystem::run_session`]) reports its begin and end, TB
+    /// dispatch/retire, per-sector routes, per-level link claims and
+    /// first-touch resolutions to it; `run` also reports the planning
+    /// decision chain. The disabled path (no sink, or
+    /// `enabled() == false`) allocates nothing and leaves
+    /// [`KernelStats`] bit-identical.
     pub fn set_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.sink = Some(sink);
     }
@@ -326,68 +328,43 @@ impl GpuSystem {
     }
 
     /// Allocates, plans and executes `kernel` under `policy`, returning
-    /// the run's statistics. Allocations are created fresh for the kernel
-    /// (one per argument) and all caches are flushed first — the paper's
-    /// kernel-boundary L2 invalidation.
+    /// the run's statistics: a one-launch session whose allocations are
+    /// created fresh for the kernel (one per argument) and whose every
+    /// argument is [`PlanProvenance::Fresh`]. All caches are flushed
+    /// first — the paper's kernel-boundary L2 invalidation.
     pub fn run(&mut self, kernel: &dyn KernelExec, policy: &dyn Policy) -> KernelStats {
         let _prof_kernel = prof::span("kernel");
         let launch = kernel.launch();
-        let sink_arc = self.active_sink();
-        let sink = sink_arc.as_deref();
         let prof_plan = prof::span("plan");
-        let plan = match sink {
-            Some(s) => {
-                let (plan, decisions) = policy.plan_explained(launch, &self.cfg.topology);
-                s.record(TraceEvent::KernelBegin {
-                    kernel: launch.kernel.name.to_string(),
-                    policy: policy.name().to_string(),
-                    grid: launch.grid,
-                    schedule: plan.schedule.to_string(),
-                });
-                for d in decisions {
-                    s.record(TraceEvent::ArgDecision {
-                        kernel: launch.kernel.name.to_string(),
-                        arg: d.arg,
-                        name: d.name.to_string(),
-                        class: d.class,
-                        preference: d.preference.to_string(),
-                        bytes: d.bytes,
-                        winner: d.winner,
-                        page_map: plan.args[d.arg].pages.to_string(),
-                        remote_insert: plan.args[d.arg].remote_insert.to_string(),
-                    });
-                }
-                plan
-            }
-            None => policy.plan(launch, &self.cfg.topology),
+        let (plan, decisions) = if self.active_sink().is_some() {
+            policy.plan_explained(launch, &self.cfg.topology)
+        } else {
+            (policy.plan(launch, &self.cfg.topology), Vec::new())
         };
         drop(prof_plan);
-        {
-            let _prof_setup = prof::span("setup_mem");
-            self.mem = AddressSpace::new(self.cfg.page_bytes);
-            for (i, arg) in launch.kernel.args.iter().enumerate() {
-                self.mem.alloc(launch.arg_bytes(i).max(1), arg.elem_bytes);
-            }
-            self.mem.apply_plan(&plan, &self.cfg.topology);
-            self.flush();
-        }
-        let stats = self.execute(kernel, &plan);
-        if let Some(s) = sink {
-            s.record(TraceEvent::KernelEnd {
-                kernel: launch.kernel.name.to_string(),
-                time: stats.cycles,
-            });
-        }
-        stats
+        let allocs: Vec<(u64, u32)> = launch
+            .kernel
+            .args
+            .iter()
+            .enumerate()
+            .map(|(i, arg)| (launch.arg_bytes(i), arg.elem_bytes))
+            .collect();
+        self.begin_session(&allocs);
+        let splan = SessionPlan {
+            plan,
+            provenance: vec![PlanProvenance::Fresh; allocs.len()],
+            binding: (0..allocs.len()).collect(),
+        };
+        self.launch(kernel, &splan, policy.name(), &decisions).stats
     }
 
     /// Seeds the address space with a session's allocation pool — one
     /// `(bytes, elem_bytes)` allocation per session slot, in slot order
     /// (the shape [`ladm_core::session::PlacementSession::allocations`]
-    /// reports) — replacing whatever a previous kernel left. Unlike
-    /// [`GpuSystem::run`], subsequent [`GpuSystem::run_session`] calls
-    /// do *not* re-seed memory: page homes carry across launches, which
-    /// is the whole point of a session.
+    /// reports) — replacing whatever a previous kernel left. Subsequent
+    /// [`GpuSystem::run_session`] calls do *not* re-seed memory: page
+    /// homes carry across launches, which is the whole point of a
+    /// session.
     pub fn begin_session(&mut self, allocs: &[(u64, u32)]) {
         self.mem = AddressSpace::new(self.cfg.page_bytes);
         for &(bytes, elem_bytes) in allocs {
@@ -400,7 +377,9 @@ impl GpuSystem {
     /// homes — including first-touch pins and migrations — that earlier
     /// launches established), flushes caches at the kernel boundary,
     /// and runs the kernel with its arguments bound to the session
-    /// allocations named by `splan.binding`.
+    /// allocations named by `splan.binding`. A trace sink sees the
+    /// launch as `KernelBegin` (policy `session`) … `KernelEnd`; the
+    /// planner's own sink narrates adoptions and replans.
     ///
     /// # Panics
     ///
@@ -409,6 +388,22 @@ impl GpuSystem {
     /// kernel's argument list.
     pub fn run_session(&mut self, kernel: &dyn KernelExec, splan: &SessionPlan) -> SessionRunStats {
         let _prof_kernel = prof::span("kernel");
+        self.launch(kernel, splan, "session", &[])
+    }
+
+    /// The one launch routine behind [`GpuSystem::run`] and
+    /// [`GpuSystem::run_session`]: checks the plan's shape, narrates the
+    /// launch (`policy` and `decisions` feed `KernelBegin` and its
+    /// `ArgDecision`s), writes the page homes of every argument whose
+    /// provenance needs it, flushes, executes, and closes the trace with
+    /// `KernelEnd`.
+    fn launch(
+        &mut self,
+        kernel: &dyn KernelExec,
+        splan: &SessionPlan,
+        policy: &str,
+        decisions: &[ArgDecision],
+    ) -> SessionRunStats {
         let launch = kernel.launch();
         let nargs = launch.kernel.args.len();
         assert_eq!(splan.binding.len(), nargs, "one binding per argument");
@@ -420,6 +415,11 @@ impl GpuSystem {
                 .all(|&b| b < self.mem.allocations().len()),
             "binding names an allocation the session never seeded"
         );
+        let sink_arc = self.active_sink();
+        let sink = sink_arc.as_deref();
+        if let Some(s) = sink {
+            narrate_launch(s, launch, policy, &splan.plan, decisions);
+        }
 
         let topo = self.cfg.topology;
         let mut replaced_pages = 0u64;
@@ -435,7 +435,7 @@ impl GpuSystem {
             self.flush();
         }
 
-        // Per-launch migration accounting: the session's table is never
+        // Per-launch migration accounting: the page table is never
         // rebuilt wholesale, so the space-wide counter is monotonic and
         // this launch's share is a delta.
         let migrations_before = self.mem.migrations();
@@ -448,8 +448,14 @@ impl GpuSystem {
             })
             .collect();
         let attr_args = self.mem.allocations().len();
-        let mut stats = self.execute_bound(kernel, &splan.plan, &addr_tab, attr_args);
+        let mut stats = self.execute(kernel, &splan.plan, &addr_tab, attr_args);
         stats.page_migrations -= migrations_before;
+        if let Some(s) = sink {
+            s.record(TraceEvent::KernelEnd {
+                kernel: launch.kernel.name.to_string(),
+                time: stats.cycles,
+            });
+        }
         SessionRunStats {
             replaced_bytes: replaced_pages * self.cfg.page_bytes,
             replaced_pages,
@@ -469,24 +475,12 @@ impl GpuSystem {
 
     /// Core engine: sets up shard queues and resident-warp state, then
     /// drives the event heap — serially, or via the prefetch pipeline
-    /// when more than one engine thread is configured.
-    fn execute(&mut self, kernel: &dyn KernelExec, plan: &KernelPlan) -> KernelStats {
-        let addr_tab: Vec<(u64, u64, u64)> = self
-            .mem
-            .allocations()
-            .iter()
-            .map(|a| (a.base, a.elems, u64::from(a.elem_bytes)))
-            .collect();
-        let attr_args = addr_tab.len();
-        self.execute_bound(kernel, plan, &addr_tab, attr_args)
-    }
-
-    /// [`GpuSystem::execute`] with an explicit argument→address binding:
-    /// `addr_tab[i]` is the `(base, elems, elem_bytes)` the kernel's
-    /// argument `i` generates addresses through, and `attr_args` sizes
-    /// the off-node attribution (the allocation count — in session mode
-    /// the pool can be larger than one kernel's argument list).
-    fn execute_bound(
+    /// when more than one engine thread is configured. `addr_tab[i]` is
+    /// the `(base, elems, elem_bytes)` the kernel's argument `i`
+    /// generates addresses through, and `attr_args` sizes the off-node
+    /// attribution (the allocation count — a session's pool can be
+    /// larger than one kernel's argument list).
+    fn execute(
         &mut self,
         kernel: &dyn KernelExec,
         plan: &KernelPlan,
@@ -1361,6 +1355,25 @@ mod tests {
             .shards()
             .iter()
             .all(|s| s.stats().cycles <= total.cycles));
+    }
+
+    #[test]
+    #[should_panic(expected = "one arg plan per argument")]
+    fn session_plan_one_arg_short_panics() {
+        let kernel = VecAdd::new(4, 128);
+        let launch = kernel.launch();
+        let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
+        let mut plan = Lasp::ladm().plan(launch, &sys.config().topology);
+        plan.args.pop();
+        sys.begin_session(&[(launch.arg_bytes(0), 4); 3]);
+        sys.run_session(
+            &kernel,
+            &SessionPlan {
+                plan,
+                provenance: vec![PlanProvenance::Fresh; 3],
+                binding: vec![0, 1, 2],
+            },
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! ledger, the sectored cache and the address space. Inputs come from a
 //! seeded local PRNG so runs are deterministic and offline.
 
-use ladm_core::plan::{ArgPlan, KernelPlan, PageMap, RrOrder, TbMap};
+use ladm_core::plan::{ArgPlan, PageMap, RrOrder};
 use ladm_core::rng::SplitMix64;
 use ladm_core::topology::{NodeId, Topology};
 use ladm_sim::bw::TokenBucket;
@@ -160,19 +160,13 @@ fn address_space_resolution() {
         for &len in &lens {
             mem.alloc(len, 4);
         }
-        let plan = KernelPlan {
-            args: lens
-                .iter()
-                .map(|_| {
-                    ArgPlan::new(PageMap::Interleave {
-                        gran_pages: gran,
-                        order: RrOrder::Hierarchical,
-                    })
-                })
-                .collect(),
-            schedule: TbMap::Spread { total: 1 },
-        };
-        mem.apply_plan(&plan, &topo);
+        let arg = ArgPlan::new(PageMap::Interleave {
+            gran_pages: gran,
+            order: RrOrder::Hierarchical,
+        });
+        for i in 0..lens.len() {
+            mem.apply_arg_plan(i, &arg, &topo);
+        }
         for (i, &len) in lens.iter().enumerate() {
             let addr = mem.addr_of(i, probe % (len / 4).max(1));
             let h1 = mem.home_of(addr, NodeId(3), &topo);

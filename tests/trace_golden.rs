@@ -3,11 +3,18 @@
 //! `ph name pid` line per trace event in document order; regenerate it
 //! after an intentional exporter change with
 //! `LADM_UPDATE_GOLDEN=1 cargo test --test trace_golden`.
+//!
+//! Session launches are traced like stateless ones: the attention
+//! decode step, run through `begin_session` + `run_session`, must bracket
+//! every launch with `kernel_begin`/`kernel_end` so the exporter lays the
+//! launches end to end on one timeline.
 
 use ladm::core::policies::Lasp;
-use ladm::obs::{Json, RecordingSink};
-use ladm::sim::{GpuSystem, SimConfig};
-use ladm::workloads::{by_name, Scale};
+use ladm::core::sequence::LaunchSequence;
+use ladm::core::session::PlacementSession;
+use ladm::obs::{chrome_trace, registry_from_events, Event, Json, RecordingSink};
+use ladm::sim::{GpuSystem, SessionRunStats, SimConfig};
+use ladm::workloads::{attn_decode, by_name, Scale};
 use std::sync::Arc;
 
 const FIXTURE: &str = concat!(
@@ -91,5 +98,103 @@ fn tracing_leaves_kernel_stats_unchanged() {
         format!("{traced:?}"),
         format!("{untraced:?}"),
         "attaching a sink must not perturb simulation results"
+    );
+}
+
+/// Plans the four-launch attention decode step (Test scale) as one
+/// pinning session and runs it with `begin_session` + `run_session` at
+/// `threads` engine threads, recording events when `traced`. Returns the
+/// events and each launch's results.
+fn decode_session(threads: usize, traced: bool) -> (Vec<Event>, Vec<SessionRunStats>) {
+    let cfg = SimConfig::paper_multi_gpu();
+    let w = attn_decode(Scale::Test);
+    let seq = LaunchSequence::new(w.kernels.iter().map(|k| k.launch().clone()).collect());
+    let mut session = PlacementSession::new(cfg.topology, Lasp::ladm());
+    let plans = session.plan_sequence(&seq);
+    let pool: Vec<(u64, u32)> = session
+        .allocations()
+        .iter()
+        .map(|&(_, bytes, elem_bytes)| (bytes, elem_bytes))
+        .collect();
+    let sink = Arc::new(RecordingSink::new());
+    let mut sys = GpuSystem::new(cfg);
+    sys.set_threads(threads);
+    if traced {
+        sys.set_sink(sink.clone());
+    }
+    sys.begin_session(&pool);
+    let runs = w
+        .kernels
+        .iter()
+        .zip(&plans)
+        .map(|(kernel, plan)| sys.run_session(&**kernel, plan))
+        .collect();
+    (sink.take_events(), runs)
+}
+
+#[test]
+fn session_trace_brackets_each_launch_and_lays_launches_end_to_end() {
+    let (events, traced) = decode_session(1, true);
+    let (_, plain) = decode_session(1, false);
+    assert_eq!(
+        format!("{traced:?}"),
+        format!("{plain:?}"),
+        "attaching a sink must not perturb session results"
+    );
+    let launches = plain.len();
+
+    // One kernel_begin/kernel_end pair per launch, in launch order.
+    let brackets: Vec<&str> = events
+        .iter()
+        .map(Event::name)
+        .filter(|n| matches!(*n, "kernel_begin" | "kernel_end"))
+        .collect();
+    assert_eq!(brackets, ["kernel_begin", "kernel_end"].repeat(launches));
+    assert!(events.iter().all(|e| match e {
+        Event::KernelBegin { policy, .. } => policy == "session",
+        _ => true,
+    }));
+    assert_eq!(
+        registry_from_events(&events).get("ladm_kernels_total", &[]),
+        launches as u64
+    );
+
+    // In the Chrome trace, each launch's threadblock spans start at or
+    // after the previous launch's kernel_end (and by its own).
+    let doc = Json::parse(&chrome_trace(&events)).expect("chrome trace must parse");
+    let trace = doc
+        .get("traceEvents")
+        .and_then(Json::as_array)
+        .expect("traceEvents array");
+    let starts = |name: &str, ph: &str| -> Vec<f64> {
+        trace
+            .iter()
+            .filter(|ev| {
+                ev.get("name").and_then(Json::as_str) == Some(name)
+                    && ev.get("ph").and_then(Json::as_str) == Some(ph)
+            })
+            .map(|ev| ev.get("ts").and_then(Json::as_f64).expect("ts"))
+            .collect()
+    };
+    let ends = starts("kernel_end", "i");
+    let tbs = starts("tb", "X");
+    let total: u64 = plain.iter().map(|r| r.stats.threadblocks).sum();
+    assert_eq!(ends.len(), launches);
+    assert_eq!(tbs.len() as u64, total);
+    let mut prev_end = 0.0;
+    for (i, (&end, run)) in ends.iter().zip(&plain).enumerate() {
+        let inside = tbs.iter().filter(|&&t| t >= prev_end && t <= end).count();
+        assert_eq!(
+            inside as u64, run.stats.threadblocks,
+            "launch {i}: its TB spans must start between the previous kernel_end ({prev_end}) and its own ({end})"
+        );
+        prev_end = end;
+    }
+
+    // The threaded engine narrates the same session identically.
+    let (threaded, _) = decode_session(2, true);
+    assert!(
+        threaded == events,
+        "the 2-thread session trace must equal the serial one"
     );
 }
