@@ -11,18 +11,19 @@
 
 use crate::diag::{Diagnostic, LintCode, Report, Severity};
 use ladm_core::expr::{Poly, Var};
+use ladm_core::interval::{poly_range, Itv};
 use ladm_core::launch::LaunchInfo;
 use ladm_workloads::Workload;
 
 /// The inclusive range a free variable can take at this launch.
-fn var_range(v: Var, launch: &LaunchInfo, trips: u32) -> Option<(i64, i64)> {
-    let hi = |dim: u32| i64::from(dim).max(1) - 1;
+fn var_range(v: Var, launch: &LaunchInfo, trips: u32) -> Option<Itv> {
+    let upto = |n: u32| Some(Itv::new(0, i128::from(n.max(1)) - 1));
     match v {
-        Var::Tx => Some((0, hi(launch.block.0))),
-        Var::Ty => Some((0, hi(launch.block.1))),
-        Var::Bx => Some((0, hi(launch.grid.0))),
-        Var::By => Some((0, hi(launch.grid.1))),
-        Var::Ind(_) => Some((0, i64::from(trips).max(1) - 1)),
+        Var::Tx => upto(launch.block.0),
+        Var::Ty => upto(launch.block.1),
+        Var::Bx => upto(launch.grid.0),
+        Var::By => upto(launch.grid.1),
+        Var::Ind(_) => upto(trips),
         _ => None,
     }
 }
@@ -30,54 +31,27 @@ fn var_range(v: Var, launch: &LaunchInfo, trips: u32) -> Option<(i64, i64)> {
 /// Exact `[min, max]` of a multilinear index over the launch box, or
 /// `None` when the index cannot be bounded statically (data-dependent
 /// terms, unbound parameters, or a free variable at power >= 2).
+///
+/// Bound parameters are points of the box and free variables span their
+/// launch ranges; [`poly_range`] evaluates the corners.
 pub fn index_span(index: &Poly, launch: &LaunchInfo, trips: u32) -> Option<(i64, i64)> {
-    if index.contains(Var::Data) {
+    let env = launch.env();
+    // Corner evaluation is exact only for multilinear polynomials. On a
+    // higher power of a free variable `poly_range` falls back to a loose
+    // monomial bound, on which L005 must not fire. Terms are sorted
+    // variable multisets, so a repeated variable is adjacent.
+    let repeated_free = index.iter().any(|(vars, _)| {
+        vars.windows(2)
+            .any(|w| w[0] == w[1] && env.try_get(w[0]).is_none())
+    });
+    if repeated_free {
         return None;
     }
-    let base_env = launch.env();
-    let mut frees: Vec<(Var, i64, i64)> = Vec::new();
-    for v in index.vars() {
-        if base_env.try_get(v).is_some() {
-            continue;
-        }
-        let (lo, hi) = var_range(v, launch, trips)?;
-        frees.push((v, lo, hi));
-    }
-    // Corner evaluation is exact only for multilinear polynomials: every
-    // term must mention each free variable at most once.
-    for (vars, _) in index.iter() {
-        for &(v, _, _) in &frees {
-            if vars.iter().filter(|&&x| x == v).count() > 1 {
-                return None;
-            }
-        }
-    }
-
-    let k = frees.len();
-    debug_assert!(k <= 16, "implausible number of free index variables");
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
-    for corner in 0..(1u32 << k) {
-        let mut env = base_env.clone();
-        let (mut tx, mut ty, mut bx, mut by) = (0i64, 0i64, 0i64, 0i64);
-        for (bit, &(v, lo, hi)) in frees.iter().enumerate() {
-            let value = if corner & (1 << bit) != 0 { hi } else { lo };
-            match v {
-                Var::Tx => tx = value,
-                Var::Ty => ty = value,
-                Var::Bx => bx = value,
-                Var::By => by = value,
-                Var::Ind(id) => env.set_ind(id, value),
-                _ => unreachable!("only launch-box variables are free"),
-            }
-        }
-        env.set_thread(tx, ty);
-        env.set_block(bx, by);
-        let value = index.eval(&env);
-        min = min.min(value);
-        max = max.max(value);
-    }
-    Some((min, max))
+    let span = poly_range(index, &mut |v| match env.try_get(v) {
+        Some(x) => Some(Itv::point(i128::from(x))),
+        None => var_range(v, launch, trips),
+    })?;
+    Some((i64::try_from(span.lo).ok()?, i64::try_from(span.hi).ok()?))
 }
 
 /// Checks every access site of one kernel launch against its allocation.
@@ -136,5 +110,35 @@ pub fn check(w: &Workload, launch: &LaunchInfo, trips: u32, report: &mut Report)
                 notes: Vec::new(),
             });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ladm_core::analysis::GridShape;
+    use ladm_core::launch::{ArgStatic, KernelStatic};
+
+    #[test]
+    fn span_is_exact_when_multilinear_in_free_vars_and_none_otherwise() {
+        let v = Poly::var;
+        let kernel = KernelStatic {
+            name: "k",
+            grid_shape: GridShape::OneD,
+            args: vec![ArgStatic::read("a", 4, v(Var::Tx))],
+        };
+        // 4 blocks of 32 threads; 3 loop trips.
+        let launch = LaunchInfo::new(kernel, (4, 1), (32, 1), vec![128]);
+        let tid = v(Var::Bx) * v(Var::Bdx) + v(Var::Tx);
+        assert_eq!(index_span(&tid, &launch, 3), Some((0, 127)));
+        let back = tid - v(Var::Ind(0)) * Poly::constant(128);
+        assert_eq!(index_span(&back, &launch, 3), Some((-256, 127)));
+        // A bound parameter is a point of the box, so its square is exact.
+        let sq_param = v(Var::Bdx) * v(Var::Bdx) + v(Var::Tx);
+        assert_eq!(index_span(&sq_param, &launch, 3), Some((1024, 1055)));
+        // A free variable's square would only get a loose monomial bound.
+        assert_eq!(index_span(&(v(Var::Tx) * v(Var::Tx)), &launch, 3), None);
+        // Runtime data has no range.
+        assert_eq!(index_span(&(v(Var::Data) + v(Var::Tx)), &launch, 3), None);
     }
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [--bench] [--threads N] [--sim-threads N] <experiment>
 //!   experiments: fig4 fig9 fig10 fig11 tab1 tab2 tab3 tab4 lint dgx1 decode
-//!                swizzle swizzle-smoke summary all
+//!                swizzle swizzle-smoke ablations summary all
 //! repro --trace <workload>...
 //! repro --profile <workload>...
 //! ```
@@ -33,8 +33,8 @@
 //! a driver lane showing where the *simulator* spent its wall time.
 
 use ladm_bench::experiments::{
-    decode, default_threads, dgx1, fig11, fig4, fig9_10, fmt_decode, fmt_fig11, fmt_lint,
-    fmt_table1, fmt_table4, lint, swizzle, table1, table4, Fig10,
+    ablations, decode, default_threads, dgx1, fig11, fig4, fig9_10, fmt_decode, fmt_fig11,
+    fmt_lint, fmt_table1, fmt_table4, lint, swizzle, table1, table4, Fig10,
 };
 use ladm_core::analysis::{classify, GridShape};
 use ladm_core::expr::{Expr, Poly, Var};
@@ -50,6 +50,10 @@ const DECODE_STEPS: usize = 8;
 /// `SWIZZLE_WORKLOADS` (one GEMM, two FC layers), enough to exercise
 /// every policy in the lineup without the full suite's wall time.
 const SWIZZLE_SMOKE_WORKLOADS: usize = 3;
+
+/// The experiments `all` runs, in order.
+const ALL: &str =
+    "tab2 tab3 lint tab1 tab4 fig4 fig9 fig10 fig11 dgx1 decode swizzle ablations summary";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -103,10 +107,7 @@ fn main() {
         return;
     }
     let list: Vec<&str> = if what.iter().any(|w| w == "all") {
-        vec![
-            "tab2", "tab3", "lint", "tab1", "tab4", "fig4", "fig9", "fig10", "fig11", "dgx1",
-            "decode", "swizzle", "summary",
-        ]
+        ALL.split_whitespace().collect()
     } else {
         what.iter().map(|s| s.as_str()).collect()
     };
@@ -140,6 +141,7 @@ fn main() {
             "swizzle-smoke" => {
                 println!("{}", swizzle(scale, threads, Some(SWIZZLE_SMOKE_WORKLOADS)))
             }
+            "ablations" => println!("{}", ablations(scale)),
             "summary" => {
                 let f = fig9_cache.get_or_insert_with(|| fig9_10(scale, threads));
                 println!("{}", f.summary());
@@ -155,7 +157,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: repro [--bench] [--threads N] [--sim-threads N] <fig4|fig9|fig10|fig11|tab1|tab2|tab3|tab4|lint|dgx1|decode|swizzle|swizzle-smoke|summary|all>\n\
+        "usage: repro [--bench] [--threads N] [--sim-threads N] <fig4|fig9|fig10|fig11|tab1|tab2|tab3|tab4|lint|dgx1|decode|swizzle|swizzle-smoke|ablations|summary|all>\n\
          \u{20}      repro [--bench] --trace <workload>...\n\
          \u{20}      repro [--bench] --profile <workload>...\n\
          \n\

@@ -1,9 +1,11 @@
 //! # ladm-bench
 //!
 //! Experiment harness regenerating every table and figure of the LADM
-//! paper's evaluation (§II, §IV, §V) on the `ladm-sim` substrate. The
-//! `repro` binary prints the same rows/series the paper reports; the
-//! Criterion benches time the underlying simulations.
+//! paper's evaluation (§II, §IV, §V) on the `ladm-sim` substrate, plus
+//! the design ablations. The `repro` binary prints the same rows/series
+//! the paper reports; `ladm-trace` exports one workload's observability
+//! artifacts. The simulator's own host speed is measured by the separate
+//! `ladm-perf` package (`ladm-perf/README.md`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,10 +14,4 @@
 pub mod experiments;
 pub mod harness;
 pub mod profile;
-pub mod report;
 pub mod trace;
-
-pub use harness::{
-    bench_function, geomean, parallel_map, run_workload, run_workload_threaded, BenchSummary,
-};
-pub use trace::{policy_by_name, trace_by_name, trace_workload, TracedRun};

@@ -1,23 +1,17 @@
-//! Self-profiled workload runs: capture a `ladm_obs::prof` span tree
-//! around an engine run and fold it into the report/table/flamegraph
-//! surfaces.
+//! Self-profiled workload runs for `repro --profile`: a `ladm_obs::prof`
+//! span tree captured around an engine run, rendered as a coverage line,
+//! the phase attribution table and the prefetch workers' utilization.
 //!
 //! The profiler observes the *simulator's* wall time (where the driver
 //! spends its cycles), not simulated time — see `ladm_obs::prof`. A
-//! profiled run wraps [`crate::harness::run_workload_threaded`] between
-//! `prof::reset`/`enable` and `disable`/`take`, so everything the
-//! engine records (plan, setup, drain, inline or worker-side
-//! generation, stats merge, plus per-worker busy counters) lands in one
-//! deterministic-shape [`Profile`].
+//! profiled run sits between `prof::reset`/`enable` and `disable`/`take`,
+//! so everything the engine records (plan, setup, drain, inline or
+//! worker-side generation, stats merge, plus per-worker busy counters)
+//! lands in one deterministic-shape [`Profile`].
 
-use crate::harness::run_workload_threaded;
-use crate::report::{PhaseRow, ProfileSection, UtilizationSection};
-use ladm_core::policies::Policy;
-use ladm_obs::prof::{self, Profile};
-use ladm_sim::{KernelStats, SimConfig};
-use ladm_workloads::Workload;
+use ladm_obs::prof::Profile;
+use ladm_sim::KernelStats;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// A completed profiled run: the merged span tree, the run's simulated
 /// statistics and the measured wall time around the whole run.
@@ -33,71 +27,51 @@ pub struct ProfiledRun {
     pub wall_ns: u64,
 }
 
-/// Runs `workload` under `policy` at `threads` engine workers with the
-/// self-profiler enabled, and returns the captured profile.
-///
-/// Profiler state is process-global: concurrent profiled runs would
-/// merge into each other, so callers (the bench binaries, tests)
-/// profile one run at a time.
-pub fn profile_workload(
-    cfg: &SimConfig,
-    workload: &Workload,
-    policy: &dyn Policy,
-    threads: usize,
-) -> ProfiledRun {
-    prof::reset();
-    prof::enable();
-    let t0 = Instant::now();
-    let stats = run_workload_threaded(cfg, workload, policy, threads);
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    prof::disable();
-    let profile = prof::take();
-    ProfiledRun {
-        profile,
-        stats,
-        wall_ns,
+impl ProfiledRun {
+    /// Fraction of the measured wall time the phase table accounts for.
+    ///
+    /// Only caller-thread roots count: worker-side `gen_worker` roots
+    /// measure *parallel* busy time that overlaps the caller's `drain`
+    /// and would double-count wall time; they feed the utilization block
+    /// instead.
+    pub fn coverage(&self) -> f64 {
+        let attributed_ns: u64 = self
+            .profile
+            .roots
+            .iter()
+            .filter(|r| r.name != "gen_worker")
+            .map(|r| r.total_ns)
+            .sum();
+        if self.wall_ns == 0 {
+            0.0
+        } else {
+            attributed_ns as f64 / self.wall_ns as f64
+        }
     }
 }
 
-/// Folds a profiled run into the additive BENCH.json `profile` section.
-///
-/// `attributed_ns` counts only the caller-thread roots (the `kernel`
-/// spans) — worker-side `gen_worker` roots measure *parallel* busy time
-/// that overlaps the caller's `drain` and would double-count wall time;
-/// they feed the utilization block instead.
-pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> ProfileSection {
-    let attributed_ns: u64 = run
-        .profile
-        .roots
-        .iter()
-        .filter(|r| r.name != "gen_worker")
-        .map(|r| r.total_ns)
-        .sum();
-    let phases: Vec<PhaseRow> = run
-        .profile
-        .flatten()
-        .into_iter()
-        .map(|(path, node)| PhaseRow {
-            path,
-            total_ns: node.total_ns,
-            self_ns: node.self_ns(),
-            calls: node.count,
-        })
-        .collect();
-    let counters: Vec<(String, u64)> = run
-        .profile
-        .counters
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect();
-    ProfileSection {
-        workload: workload.to_string(),
-        sim_threads: threads,
-        wall_ns: run.wall_ns,
-        attributed_ns,
-        phases,
-        utilization: utilization_from(&run.profile),
-        counters,
+/// Utilization of the threaded engine's prefetch workers.
+#[derive(Debug)]
+struct Utilization {
+    /// Prefetch workers that ran (0 for serial runs).
+    workers: usize,
+    /// Σ worker generation busy nanoseconds (worker-side clocks).
+    busy_ns: u64,
+    /// `workers × drain wall` — what the workers could have done while
+    /// the caller drained.
+    capacity_ns: u64,
+    /// Per-worker `(worker index, gen busy ns, gen tasks)` rows.
+    per_worker: Vec<(usize, u64, u64)>,
+}
+
+impl Utilization {
+    /// Busy fraction of the workers (1 − idle), in [0, 1].
+    fn busy_frac(&self) -> f64 {
+        if self.capacity_ns == 0 {
+            0.0
+        } else {
+            (self.busy_ns as f64 / self.capacity_ns as f64).min(1.0)
+        }
     }
 }
 
@@ -106,7 +80,7 @@ pub fn section_from(workload: &str, threads: usize, run: &ProfiledRun) -> Profil
 /// = workers × the caller's `drain` wall, the time the workers could
 /// have been generating. The difference is time the workers waited for
 /// requests. Serial runs have no workers and an all-zero block.
-pub fn utilization_from(profile: &Profile) -> UtilizationSection {
+fn utilization_from(profile: &Profile) -> Utilization {
     let mut per_worker: Vec<(usize, u64, u64)> = Vec::new();
     for (name, &ns) in &profile.counters {
         if let Some(idx) = name
@@ -129,7 +103,7 @@ pub fn utilization_from(profile: &Profile) -> UtilizationSection {
         .map(|n| n.total_ns)
         .unwrap_or(0);
     let workers = per_worker.len();
-    UtilizationSection {
+    Utilization {
         workers,
         busy_ns,
         capacity_ns: drain_ns * workers as u64,
@@ -140,17 +114,16 @@ pub fn utilization_from(profile: &Profile) -> UtilizationSection {
 /// Renders the human-facing profile report: coverage line, the phase
 /// attribution table, and the utilization block.
 pub fn render_profile_text(workload: &str, threads: usize, run: &ProfiledRun) -> String {
-    let section = section_from(workload, threads, run);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "profile: {workload} (threads {threads}, wall {:.3} ms, coverage {:.1}%)",
         run.wall_ns as f64 / 1e6,
-        section.coverage() * 100.0
+        run.coverage() * 100.0
     );
     let _ = writeln!(out);
     out.push_str(&run.profile.render_table());
-    let u = &section.utilization;
+    let u = utilization_from(&run.profile);
     if u.capacity_ns > 0 {
         let _ = writeln!(out);
         let _ = writeln!(
@@ -177,8 +150,11 @@ pub fn render_profile_text(workload: &str, threads: usize, run: &ProfiledRun) ->
 mod tests {
     use super::*;
     use ladm_core::policies::Lasp;
+    use ladm_obs::prof;
+    use ladm_sim::{GpuSystem, SimConfig};
     use ladm_workloads::{by_name, Scale};
     use std::sync::Mutex;
+    use std::time::Instant;
 
     /// The profiler is process-global; bench-crate tests that enable it
     /// serialize on this.
@@ -188,29 +164,44 @@ mod tests {
         PROF_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Profiles VecAdd under LADM at `threads` engine workers. The wall
+    /// clock spans machine construction too, so the uncovered slice is
+    /// `GpuSystem::new` plus this glue.
+    fn profile_vecadd(threads: usize) -> ProfiledRun {
+        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
+        prof::reset();
+        prof::enable();
+        let t0 = Instant::now();
+        let mut sys = GpuSystem::new(SimConfig::paper_multi_gpu());
+        sys.set_threads(threads);
+        let mut stats = KernelStats::default();
+        for kernel in &w.kernels {
+            stats.accumulate(&sys.run(&**kernel, &Lasp::ladm()));
+        }
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        prof::disable();
+        ProfiledRun {
+            profile: prof::take(),
+            stats,
+            wall_ns,
+        }
+    }
+
     #[test]
     fn profiled_run_attributes_most_of_the_wall_time() {
         let _t = locked();
-        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
-        let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 1);
+        let run = profile_vecadd(1);
         assert!(run.stats.cycles > 0.0);
         assert!(!run.profile.is_empty());
-        let section = section_from("VecAdd", 1, &run);
         // Acceptance criterion: the phase table accounts for >= 95% of
-        // measured wall time (the uncovered slice is GpuSystem::new +
-        // harness glue).
+        // measured wall time.
         assert!(
-            section.coverage() >= 0.95,
+            run.coverage() >= 0.95,
             "coverage {:.3} too low:\n{}",
-            section.coverage(),
+            run.coverage(),
             run.profile.render_table()
         );
-        assert!(
-            section.coverage() <= 1.02,
-            "coverage {}",
-            section.coverage()
-        );
+        assert!(run.coverage() <= 1.02, "coverage {}", run.coverage());
         // The serial engine's signature phases are present.
         assert!(run.profile.find("kernel;plan").is_some());
         assert!(run.profile.find("kernel;execute;drain_serial").is_some());
@@ -219,16 +210,22 @@ mod tests {
             .find("kernel;execute;drain_serial;gen_inline")
             .is_some());
         // Hot counters fired.
-        assert!(section.counters.iter().any(|(k, _)| k == "engine.heap_pop"));
-        assert!(section.counters.iter().any(|(k, _)| k == "shard.l1_probes"));
+        assert!(run.profile.counters.contains_key("engine.heap_pop"));
+        assert!(run.profile.counters.contains_key("shard.l1_probes"));
     }
 
     #[test]
     fn threaded_profile_reports_workers_and_utilization() {
         let _t = locked();
-        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
-        let cfg = SimConfig::paper_multi_gpu();
-        let run = profile_workload(&cfg, &w, &Lasp::ladm(), 4);
+        let run = profile_vecadd(4);
+        // Worker roots overlap the caller's drain and are left out, so
+        // the caller's phases still cover the wall time.
+        assert!(
+            (0.95..=1.02).contains(&run.coverage()),
+            "coverage {:.3}:\n{}",
+            run.coverage(),
+            run.profile.render_table()
+        );
         let drain = run
             .profile
             .find("kernel;execute;drain")
@@ -250,7 +247,7 @@ mod tests {
 
         // The workers generate exactly the lists the serial loop
         // generates inline: none twice, none missing.
-        let serial = profile_workload(&cfg, &w, &Lasp::ladm(), 1);
+        let serial = profile_vecadd(1);
         let inline = serial
             .profile
             .find("kernel;execute;drain_serial;gen_inline")
@@ -258,19 +255,5 @@ mod tests {
         let tasks: u64 = util.per_worker.iter().map(|&(_, _, t)| t).sum();
         assert_eq!(tasks, inline.count);
         assert_eq!(utilization_from(&serial.profile).workers, 0);
-    }
-
-    #[test]
-    fn profiling_does_not_change_simulated_stats() {
-        let _t = locked();
-        let w = by_name("VecAdd", Scale::Test).expect("vecadd exists");
-        let cfg = SimConfig::paper_multi_gpu();
-        let plain = crate::harness::run_workload_threaded(&cfg, &w, &Lasp::ladm(), 2);
-        let profiled = profile_workload(&cfg, &w, &Lasp::ladm(), 2);
-        assert_eq!(
-            format!("{plain:?}"),
-            format!("{:?}", profiled.stats),
-            "profiling must be invisible to the simulation"
-        );
     }
 }

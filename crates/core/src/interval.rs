@@ -111,7 +111,8 @@ impl Itv {
 
 /// Corner enumeration stays exact but exponential; above this many boxed
 /// (non-point) variables we fall back to monomial interval products. The
-/// analyzer never boxes more than `tx`, `ty` and one induction variable.
+/// analyzer boxes at most `tx`, `ty`, `bx`, `by` and the suite's one
+/// induction variable.
 const MAX_CORNER_VARS: usize = 6;
 
 /// Sound range of `p` over the box described by `range_of`.

@@ -1,11 +1,12 @@
 //! The single source of truth for the shipped policy lineup.
 //!
-//! Experiment code (`ladm-bench`), the fuzzer's policy generator and the
-//! determinism suite all need "the set of known policies". Before this
-//! registry each kept its own hardcoded list (`policy_by_index`,
-//! `sample_policy`, the fig lineups) and they could silently drift; now
-//! every lineup is a list of names resolved through [`build`], and the
-//! fuzz crate pins its generator to [`entries`] by test.
+//! The experiment binaries (`repro`, `ladm-trace`), the `ladm-perf`
+//! benchmark, the fuzzer's policy generator and the determinism suite
+//! all need "the set of known policies". Before this registry each kept
+//! its own hardcoded list (`policy_by_index`, `sample_policy`, the fig
+//! lineups) and they could silently drift; now every lineup is a list of
+//! names resolved through [`build`], and the fuzz crate pins its
+//! generator to [`entries`] by test.
 
 use super::swizzle::{Swizzle, SwizzlePlacement, DEFAULT_GROUP, DEFAULT_TWO_LEVEL_BATCH};
 use super::{BaselineRr, BatchFt, CacheMode, Coda, KernelWide, Lasp, Policy};

@@ -18,13 +18,17 @@
 //!   Spans form a tree per thread: each guard attaches to (or creates) a
 //!   child of the currently open span on a **thread-local** stack, so
 //!   recording is lock-free.
-//! * When a thread exits — including every scoped worker of
-//!   `ladm_core::par::parallel_map` and every engine prefetch worker,
-//!   whose joins happen-before the caller continues — its local tree is
-//!   merged into a process-wide accumulator keyed by span *name*, which
-//!   makes the merged shape a deterministic function of the code paths
-//!   taken, not of the thread count or interleaving. Durations sum; only
-//!   times vary run to run.
+//! * When a thread exits, a TLS destructor merges its local tree into a
+//!   process-wide accumulator keyed by span *name*, which makes the
+//!   merged shape a deterministic function of the code paths taken, not
+//!   of the thread count or interleaving. Durations sum; only times vary
+//!   run to run.
+//! * **Contract:** a thread's spans reach [`take`] once it is
+//!   `join()`ed. `JoinHandle::join` waits for full thread exit, TLS
+//!   destructors included. The implicit wait at the end of
+//!   `std::thread::scope` does not: it returns once each closure has
+//!   returned, possibly before the flush. `ladm_core::par::parallel_map`
+//!   and the engine's prefetch workers join every handle explicitly.
 //! * Hot leaf observations that would be too frequent for spans
 //!   (token-bucket stalls, cache probes, heap ops) are plain named
 //!   [`count`]ers, merged the same way.
@@ -335,10 +339,10 @@ fn to_public(tree: &BTreeMap<&'static str, MergedNode>) -> Vec<ProfNode> {
 }
 
 /// Merges the calling thread's local tree and snapshots the process-wide
-/// accumulator, resetting it. Worker threads that already exited (every
-/// `parallel_map` and engine prefetch worker — its join happens-before
-/// the caller resumes) are included; any *other* still-live thread's
-/// unflushed spans are not.
+/// accumulator, resetting it. A worker thread's spans are included once
+/// it has been `join()`ed (every `parallel_map` and engine prefetch
+/// worker is); a thread that is still live, or that only a scope's
+/// implicit wait has waited for, may not have flushed yet.
 pub fn take() -> Profile {
     let mut g = GLOBAL.lock().unwrap();
     LOCAL.with(|l| l.borrow_mut().flush_into(&mut g));
@@ -373,9 +377,8 @@ impl Profile {
         Some(node)
     }
 
-    /// Every node with its full `;`-separated path, depth-first in name
-    /// order — the flattened form used by the BENCH.json `profile`
-    /// section and the regression checker.
+    /// Every node with its full `;`-separated path, sorted by path — one
+    /// row per span, for consumers that key phases by path.
     pub fn flatten(&self) -> Vec<(String, &ProfNode)> {
         fn walk<'a>(prefix: &str, node: &'a ProfNode, out: &mut Vec<(String, &'a ProfNode)>) {
             let path = if prefix.is_empty() {
@@ -535,12 +538,20 @@ mod tests {
         let _t = locked();
         reset();
         enable();
+        // Join each handle: the scope's implicit wait ends when the
+        // closures return, before the threads' TLS destructors (the
+        // flush) have run; `join` waits for full thread exit.
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let _g = span("worker");
-                    count("jobs", 1);
-                });
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _g = span("worker");
+                        count("jobs", 1);
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("worker thread");
             }
         });
         disable();
